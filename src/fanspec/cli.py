@@ -33,9 +33,10 @@ from .families import (
     turan_graph,
 )
 from .formulas import fan_extremal_number
-from .graphs import Graph, Graph6Error, StructuredGraph, from_graph6, to_graph6
+from .graphs import AnyGraph, Graph6Error, StructuredGraph, from_graph6, to_graph6
 from .oracle import (
     DEFAULT_ENUM_CAP,
+    _round12,
     brute_force_extremal,
     brute_force_f_report,
     family_search,
@@ -49,18 +50,11 @@ from .spectral import (
     spectral_radius,
 )
 
-AnyGraph = Graph | StructuredGraph
-
-
 def fmt12(x: float) -> str:
     """12 significant digits, positional (trailing zeros kept)."""
     return np.format_float_positional(
         float(x), precision=12, unique=False, fractional=False, trim="k"
     )
-
-
-def _round12(x: float) -> float:
-    return float(f"{x:.12g}")
 
 
 def parse_construct_spec(text: str) -> AnyGraph:

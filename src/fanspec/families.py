@@ -9,10 +9,11 @@ smaller ones come back as dense ``Graph`` objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .graphs import (
     DENSE_KERNEL_LIMIT,
+    AnyGraph,
     Graph,
     StructuredGraph,
     VertexPartition,
@@ -21,8 +22,6 @@ from .graphs import (
     empty_graph,
     join,
 )
-
-AnyGraph = Union[Graph, StructuredGraph]
 
 
 @dataclass(frozen=True)
@@ -89,8 +88,17 @@ def balanced_sizes(n: int, p: int) -> tuple[int, ...]:
     return tuple(s for s in sizes if s > 0)
 
 
-def _dense_multipartite(sizes: Sequence[int]) -> Graph:
+def embed_in_part(
+    sizes: Sequence[int], host: int, edges: Iterable[tuple[int, int]]
+) -> AnyGraph:
+    """Complete multipartite graph with parts laid out consecutively, plus
+    `edges` (labeled from 0 within part `host`) added inside the host part.
+    Dense up to the kernel limit, a ``StructuredGraph`` beyond it."""
+    offset = sum(sizes[:host])
+    patch = [(offset + a, offset + b) for a, b in edges]
     n = sum(sizes)
+    if n > DENSE_KERNEL_LIMIT:
+        return StructuredGraph(sizes, patch)
     full = (1 << n) - 1
     rows = []
     start = 0
@@ -98,6 +106,9 @@ def _dense_multipartite(sizes: Sequence[int]) -> Graph:
         part_mask = ((1 << s) - 1) << start
         rows.extend([full ^ part_mask] * s)
         start += s
+    for a, b in patch:
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
     return Graph._from_rows_unchecked(tuple(rows))
 
 
@@ -107,11 +118,7 @@ def complete_multipartite(
     """Complete multipartite graph with parts laid out consecutively,
     largest first.  Returns the graph together with its vertex partition."""
     ps = partition_sizes_of(sizes)
-    if ps.n <= DENSE_KERNEL_LIMIT:
-        g: AnyGraph = _dense_multipartite(ps.sizes)
-    else:
-        g = StructuredGraph(ps.sizes)
-    return g, consecutive_partition(ps.sizes)
+    return embed_in_part(ps.sizes, 0, ()), consecutive_partition(ps.sizes)
 
 
 def turan_graph(n: int, p: int) -> AnyGraph:
@@ -216,18 +223,7 @@ def extremal_fan_graph(
         raise ValueError(
             f"part of size {sizes[host]} cannot host the {m}-vertex embedded graph"
         )
-    offset = sum(sizes[:host])
-    patch = [(offset + a, offset + b) for a, b in patch_local]
-    if n <= DENSE_KERNEL_LIMIT:
-        dense = _dense_multipartite(sizes)
-        rows = list(dense.rows)
-        for a, b in patch:
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
-        g: AnyGraph = Graph._from_rows_unchecked(tuple(rows))
-    else:
-        g = StructuredGraph(sizes, patch)
-    return g, consecutive_partition(sizes)
+    return embed_in_part(sizes, host, patch_local), consecutive_partition(sizes)
 
 
 def split_graph(n: int, k: int) -> AnyGraph:

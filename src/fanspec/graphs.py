@@ -353,6 +353,9 @@ class StructuredGraph:
         return f"StructuredGraph(sizes={self.sizes}, patch_edges={len(self.patch)})"
 
 
+AnyGraph = Graph | StructuredGraph
+
+
 # --- graph6 codec (short form, bit-exact) ---------------------------------
 
 

@@ -1,16 +1,16 @@
 """Ground-truth brute force over isomorph-free enumerations.
 
 Graphs on n vertices are generated one representative per isomorphism
-class: small levels (child size < 8) by canonicalize-and-dedup of all
-one-vertex extensions, larger levels by canonical augmentation (extend by
-one vertex over orbit representatives of neighborhood subsets, accept a
-child exactly when the new vertex is automorphism-equivalent to the
-canonical deletion vertex).  Augmentation keeps memory flat: no global seen
-set is needed at the big levels.
+class by canonical augmentation (McKay 1998), at every level: extend each
+parent by one vertex over orbit representatives of neighborhood subsets,
+and accept a child exactly when the new vertex is automorphism-equivalent
+to the canonical deletion vertex.  The acceptance test is local to a
+parent, so no global seen set is needed and the last level splits into
+independent parent batches for the worker pool.
 
-Both engines accept an optional hereditary predicate (closed under vertex
-deletion, e.g. bounded degree + bounded matching); enumeration restricted
-to such a class remains exactly-once.  That restriction is what makes the
+Enumeration accepts an optional hereditary predicate (closed under vertex
+deletion, e.g. bounded degree + bounded matching); restricted to such a
+class it remains exactly-once.  That restriction is what makes the
 bounded-degree/bounded-matching edge maximum searchable at nine vertices.
 
 Everything is deterministic: reports are identical regardless of worker
@@ -20,23 +20,21 @@ canonical graph6).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import os
+import tempfile
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .canon import canonical_form, canonical_info, permuted_rows
-from .families import FanSpec, fanspec_of
+# unused here; kept bound because perfbench/tracing.py rebinds oracle.canonical_form
+from .canon import canonical_form  # noqa: F401
+from .canon import canonical_info, permuted_rows
+from .families import FanSpec, embed_in_part, fanspec_of
 from .formulas import FormulaResult, fan_extremal_number
-from .graphs import (
-    DENSE_KERNEL_LIMIT,
-    Graph,
-    StructuredGraph,
-    from_graph6,
-    to_graph6,
-)
+from .graphs import Graph, StructuredGraph, from_graph6, to_graph6
 from .patterns import clique_packing_number, contains_fan, matching_number
 from .spectral import spectral_radius
 
@@ -84,23 +82,6 @@ def _mask_orbit_reps(n: int, gens: Sequence[tuple[int, ...]]) -> list[int]:
 Pred = Callable[[Graph], bool]
 
 
-def _children_plain(parents: Sequence[tuple[int, ...]], pred: Pred | None) -> list[tuple[int, ...]]:
-    seen: set[tuple[int, ...]] = set()
-    out: list[tuple[int, ...]] = []
-    for rows in parents:
-        parent = Graph._from_rows_unchecked(rows)
-        for mask in range(1 << parent.n):
-            child = parent.add_vertex(mask)
-            if pred is not None and not pred(child):
-                continue
-            crows = canonical_form(child).rows
-            if crows not in seen:
-                seen.add(crows)
-                out.append(crows)
-    out.sort()
-    return out
-
-
 def _children_of_parent_aug(rows: tuple[int, ...], pred: Pred | None) -> list[tuple[int, ...]]:
     parent = Graph._from_rows_unchecked(rows)
     info = canonical_info(parent)
@@ -117,7 +98,8 @@ def _children_of_parent_aug(rows: tuple[int, ...], pred: Pred | None) -> list[tu
     return out
 
 
-def _children_aug(parents: Sequence[tuple[int, ...]], pred: Pred | None) -> list[tuple[int, ...]]:
+def _level_up(parents: Sequence[tuple[int, ...]], pred: Pred | None) -> list[tuple[int, ...]]:
+    """The next level: every accepted child of every parent, sorted."""
     out: list[tuple[int, ...]] = []
     for rows in parents:
         out.extend(_children_of_parent_aug(rows, pred))
@@ -125,19 +107,17 @@ def _children_aug(parents: Sequence[tuple[int, ...]], pred: Pred | None) -> list
     return out
 
 
-def _level_up(parents: Sequence[tuple[int, ...]], child_size: int, pred: Pred | None) -> list[tuple[int, ...]]:
-    if child_size < 8:
-        return _children_plain(parents, pred)
-    return _children_aug(parents, pred)
-
-
 def _levels(n_max: int, pred: Pred | None = None) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
     """Yield (size, canonical row tuples) for sizes 0..n_max, one per class."""
     level: list[tuple[int, ...]] = [()]
     yield 0, level
     for size in range(1, n_max + 1):
-        level = _level_up(level, size, pred)
+        level = _level_up(level, pred)
         yield size, level
+
+
+def _edge_count(rows: tuple[int, ...]) -> int:
+    return sum(r.bit_count() for r in rows) // 2
 
 
 def enumerate_graphs(n: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Graph]:
@@ -218,7 +198,7 @@ def _scan_extremal_batch(args) -> dict:
 
     The augmentation acceptance test is exactly-once per isomorphism class
     across all parents, so per-parent batches partition the class space."""
-    parent_batch, child_size, k, r, mode, tol = args
+    parent_batch, k, r, mode, tol = args
     spec = FanSpec(k, r)
     examined = 0
     free = 0
@@ -260,6 +240,22 @@ def _map_batches(fn, tasks: list, jobs: int) -> Iterator:
 BATCH_PARENTS = 32
 
 
+def _write_json_atomic(path: str, obj) -> None:
+    """Replace `path` with `obj` as JSON; a crash mid-write leaves the old
+    file in place (the new one is written beside it, then renamed over)."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(obj, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def brute_force_extremal(
     n: int,
     spec: FanSpec | tuple[int, int],
@@ -283,9 +279,8 @@ def brute_force_extremal(
         raise EnumerationCapError(f"n={n} exceeds the enumeration cap {cap}")
     t0 = time.monotonic()
 
-    parents: list[tuple[int, ...]] = [()]
-    for size in range(1, n):
-        parents = _level_up(parents, size, None)
+    for _, parents in _levels(n - 1):
+        pass
 
     batches = _chunks(parents, BATCH_PARENTS)
     start_batch = 0
@@ -294,7 +289,15 @@ def brute_force_extremal(
     best: float | int | None = None
     cands: list[tuple[str, float | int]] = []
 
-    ckpt_key = {"kind": "brute", "n": n, "k": spec.k, "r": spec.r, "mode": mode}
+    ckpt_key = {
+        "kind": "brute",
+        "n": n,
+        "k": spec.k,
+        "r": spec.r,
+        "mode": mode,
+        "tol": tol if mode == "lambda" else None,
+        "batch_parents": BATCH_PARENTS,
+    }
     if resume and checkpoint_path and os.path.exists(checkpoint_path):
         with open(checkpoint_path) as fh:
             state = json.load(fh)
@@ -309,7 +312,7 @@ def brute_force_extremal(
     window = 0 if mode == "edges" else LAMBDA_WITNESS_WINDOW
     since_ckpt = 0
     tasks = [
-        (batch, n, spec.k, spec.r, mode, tol) for batch in batches[start_batch:]
+        (batch, spec.k, spec.r, mode, tol) for batch in batches[start_batch:]
     ]
     for i, partial in enumerate(_map_batches(_scan_extremal_batch, tasks, jobs)):
         examined += partial["examined"]
@@ -331,8 +334,7 @@ def brute_force_extremal(
                     "cands": [list(c) for c in cands],
                 }
             )
-            with open(checkpoint_path, "w") as fh:
-                json.dump(state, fh)
+            _write_json_atomic(checkpoint_path, state)
 
     witnesses = tuple(sorted(s for s, v in cands))
     formula = _formula_or_none(n, spec)
@@ -374,16 +376,14 @@ def _bounded_pred(beta: int, delta: int) -> Pred:
 
 
 def _scan_f_batch(args) -> dict:
-    parent_batch, child_size, beta, delta = args
+    parent_batch, beta, delta = args
     pred = _bounded_pred(beta, delta)
     examined = 0
     best = 0
     for rows in parent_batch:
         for crows in _children_of_parent_aug(rows, pred):
             examined += 1
-            e = sum(r.bit_count() for r in crows) // 2
-            if e > best:
-                best = e
+            best = max(best, _edge_count(crows))
     return {"examined": examined, "best": best}
 
 
@@ -431,23 +431,14 @@ def brute_force_f_report(
     pred = _bounded_pred(beta, delta)
     best = 0
     examined = 0
-    level: list[tuple[int, ...]] = [()]
-    examined += 1  # the empty graph
-    for size in range(1, n_max + 1):
-        if size == n_max and len(level) > 2 * BATCH_PARENTS and jobs > 1:
-            tasks = [
-                (batch, size, beta, delta) for batch in _chunks(level, BATCH_PARENTS)
-            ]
-            for partial in _map_batches(_scan_f_batch, tasks, jobs):
-                examined += partial["examined"]
-                best = max(best, partial["best"])
-            level = []
-        else:
-            level = _level_up(level, size, pred)
-            examined += len(level)
-            for rows in level:
-                e = sum(r.bit_count() for r in rows) // 2
-                best = max(best, e)
+    for _, level in _levels(n_max - 1, pred):
+        examined += len(level)
+        best = max(best, *map(_edge_count, level))
+    if n_max >= 1:  # the empty graph is the one class with no parent
+        tasks = [(batch, beta, delta) for batch in _chunks(level, BATCH_PARENTS)]
+        for partial in _map_batches(_scan_f_batch, tasks, jobs):
+            examined += partial["examined"]
+            best = max(best, partial["best"])
     return BoundedEdgeReport(
         beta=beta,
         delta=delta,
@@ -519,30 +510,12 @@ def _part_size_vectors(n: int, parts: int, max_imbalance: int) -> list[tuple[int
     return sorted(set(out), reverse=True)
 
 
-def _build_member(
-    sizes: tuple[int, ...], g0: Graph, host: int
-) -> Graph | StructuredGraph:
-    offset = sum(sizes[:host])
-    patch = [(offset + a, offset + b) for a, b in g0.edges()]
-    n = sum(sizes)
-    if n <= DENSE_KERNEL_LIMIT:
-        from .families import _dense_multipartite
-
-        rows = list(_dense_multipartite(sizes).rows)
-        for a, b in patch:
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
-        return Graph._from_rows_unchecked(tuple(rows))
-    return StructuredGraph(sizes, patch)
-
-
 def _scan_family_batch(args) -> list[dict]:
     members, k, r, tol = args
     spec = FanSpec(k, r)
     out = []
     for sizes, g0_g6, host in members:
-        g0 = from_graph6(g0_g6)
-        member = _build_member(sizes, g0, host)
+        member = embed_in_part(sizes, host, from_graph6(g0_g6).edges())
         witness = contains_fan(member, spec)
         rec = {
             "sizes": sizes,
@@ -615,7 +588,7 @@ def family_search(
     if n <= 62:
         # construction labeling is already deterministic; canonicalizing a
         # near-multipartite host would fight its huge automorphism group
-        g = _build_member(best["sizes"], from_graph6(best["g0"]), best["host"])
+        g = embed_in_part(best["sizes"], best["host"], from_graph6(best["g0"]).edges())
         assert isinstance(g, Graph)
         witnesses = (to_graph6(g),)
     winner = {

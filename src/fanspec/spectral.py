@@ -16,14 +16,12 @@ handled per component, taking the maximum (first component wins ties).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from .families import FanSpec, PartitionSizes, fanspec_of, partition_sizes_of
-from .graphs import Graph, StructuredGraph, _mask_bits, induced_subgraph_mask
-
-AnyGraph = Union[Graph, StructuredGraph]
+from .graphs import AnyGraph, Graph, StructuredGraph, _mask_bits, induced_subgraph_mask
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 10**6
@@ -301,7 +299,7 @@ def perron_entry_bound_check(
     spec = fanspec_of(spec)
     if isinstance(g, StructuredGraph):
         nonempty = sum(1 for s in g.sizes if s > 0)
-        if nonempty < 2 and not _connected_structured_fallback(g):
+        if nonempty < 2 and not g.to_graph().is_connected():
             raise ValueError("graph must be connected")
     elif not g.is_connected():
         raise ValueError("graph must be connected")
@@ -309,7 +307,3 @@ def perron_entry_bound_check(
     min_entry = float(res.vector.min())
     bound = 1.0 - 20.0 * spec.k**2 * spec.r**2 / g.n
     return PerronBoundReport(min_entry=min_entry, bound=bound, holds=min_entry >= bound)
-
-
-def _connected_structured_fallback(sg: StructuredGraph) -> bool:
-    return sg.to_graph().is_connected()

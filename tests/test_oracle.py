@@ -26,7 +26,7 @@ from fanspec import (
     turan_number_t,
     verify_main_theorem,
 )
-from fanspec.oracle import _part_size_vectors
+from fanspec.oracle import _bounded_pred, _levels, _part_size_vectors
 
 
 def all_labeled_graphs(n):
@@ -61,9 +61,21 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_graphs(4, cap=4)) == 11
 
     def test_augmentation_level_count_n8(self):
-        # first level generated by canonical augmentation rather than dedup;
-        # the known class count pins the acceptance rule end to end
+        # the largest level the suite enumerates in full; the known class
+        # count (OEIS A000088) pins the acceptance rule end to end
         assert sum(1 for _ in enumerate_graphs(8)) == 12346
+
+    @pytest.mark.parametrize("beta,delta", [(1, 1), (2, 2), (3, 3)])
+    def test_predicate_levels_against_labeled_dedup(self, beta, delta):
+        # augmentation restricted to a hereditary class must give exactly
+        # one representative of every class member: compare with a filter
+        # over all labeled graphs followed by canonical dedup
+        pred = _bounded_pred(beta, delta)
+        for size, level in _levels(6, pred):
+            forms = {
+                canonical_form(g).rows for g in all_labeled_graphs(size) if pred(g)
+            }
+            assert level == sorted(forms), (size, beta, delta)
 
 
 class TestBruteForceExtremal:
@@ -144,6 +156,50 @@ class TestBruteForceExtremal:
         ).to_json(timing=False)
         assert resumed == clean
 
+    def test_checkpoint_survives_a_failed_write(self, tmp_path, monkeypatch):
+        import fanspec.oracle as om
+
+        clean = brute_force_extremal(6, (1, 3), "edges").to_json(timing=False)
+        ckpt = tmp_path / "state.json"
+        real_dump = json.dump
+        calls = {"n": 0}
+
+        def die_halfway_through_second(obj, fh, **kw):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                text = json.dumps(obj)
+                fh.write(text[: len(text) // 2])
+                raise KeyboardInterrupt
+            real_dump(obj, fh, **kw)
+
+        monkeypatch.setattr(om.json, "dump", die_halfway_through_second)
+        with pytest.raises(KeyboardInterrupt):
+            brute_force_extremal(
+                6, (1, 3), "edges", checkpoint_path=str(ckpt), checkpoint_every=1
+            )
+        monkeypatch.setattr(om.json, "dump", real_dump)
+        # the first checkpoint is intact and no partial file is left beside it
+        assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+        assert json.loads(ckpt.read_text())["batch_cursor"] == 1
+        resumed = brute_force_extremal(
+            6, (1, 3), "edges", checkpoint_path=str(ckpt), resume=True
+        ).to_json(timing=False)
+        assert resumed == clean
+
+    def test_checkpoint_rejects_other_tol(self, tmp_path):
+        ckpt = str(tmp_path / "state.json")
+        first = brute_force_extremal(
+            6, (1, 3), "lambda", tol=1e-10, checkpoint_path=ckpt, checkpoint_every=1
+        ).to_json(timing=False)
+        with pytest.raises(ValueError):
+            brute_force_extremal(
+                6, (1, 3), "lambda", tol=1e-9, checkpoint_path=ckpt, resume=True
+            )
+        again = brute_force_extremal(
+            6, (1, 3), "lambda", tol=1e-10, checkpoint_path=ckpt, resume=True
+        ).to_json(timing=False)
+        assert again == first
+
     def test_checkpoint_mismatch_rejected(self, tmp_path):
         ckpt = tmp_path / "state.json"
         ckpt.write_text(
@@ -178,9 +234,13 @@ class TestBruteForceF:
                 assert brute_force_f(beta, delta, 7) == chvatal_hanson_f(beta, delta)
 
     def test_jobs_do_not_change_report(self):
-        a = brute_force_f_report(2, 3, 8, jobs=1).to_json(timing=False)
-        b = brute_force_f_report(2, 3, 8, jobs=2).to_json(timing=False)
-        assert a == b
+        for n_max in (0, 1, 2, 8):
+            a = brute_force_f_report(2, 3, n_max, jobs=1).to_json(timing=False)
+            b = brute_force_f_report(2, 3, n_max, jobs=2).to_json(timing=False)
+            assert a == b, n_max
+        # the empty graph alone, then one and two vertices
+        examined = [brute_force_f_report(2, 3, m).graphs_examined for m in (0, 1, 2)]
+        assert examined == [1, 2, 4]
 
     def test_cap(self):
         with pytest.raises(EnumerationCapError):

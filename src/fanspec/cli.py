@@ -33,7 +33,7 @@ from .families import (
     turan_graph,
 )
 from .formulas import fan_extremal_number
-from .graphs import AnyGraph, Graph6Error, StructuredGraph, from_graph6, to_graph6
+from .graphs import AnyGraph, Graph6Error, from_graph6, to_graph6
 from .oracle import (
     DEFAULT_ENUM_CAP,
     _round12,
@@ -120,27 +120,9 @@ def _emit(args, text: str) -> None:
 
 
 def _cmd_construct(args) -> int:
-    spec_map = {
-        "turan": lambda a: turan_graph(a.n, a.p),
-        "multipartite": lambda a: complete_multipartite(
-            [int(s) for s in a.sizes.split(",")]
-        )[0],
-        "fan": lambda a: fan_graph((a.k, a.r)),
-        "extremal": lambda a: extremal_fan_graph(a.n, (a.k, a.r), a.part)[0],
-        "split": lambda a: split_graph(a.n, a.k),
-        "ch": lambda a: chvatal_hanson_extremal(a.k),
-    }
-    g = spec_map[args.family](args)
-    if isinstance(g, StructuredGraph):
-        if g.n > 62:
-            print(
-                "error: graph6 short form caps at 62 vertices; "
-                f"construction has {g.n}",
-                file=sys.stderr,
-            )
-            return 2
-        g = g.to_graph()
-    print(to_graph6(g))
+    values = (getattr(args, name) for name in args.spec_args)
+    spec = f"{args.family}:" + ",".join(str(v) for v in values if v is not None)
+    print(to_graph6(parse_construct_spec(spec)))
     return 0
 
 
@@ -313,24 +295,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("construct", help="emit a named family graph as graph6")
     fam = pc.add_subparsers(dest="family", required=True)
+    # each family's options, in the argument order of its constructor spec
     f = fam.add_parser("turan", help="balanced complete p-partite graph")
     f.add_argument("--n", type=int, required=True)
     f.add_argument("--p", type=int, required=True)
+    f.set_defaults(spec_args=("n", "p"))
     f = fam.add_parser("multipartite", help="complete multipartite graph")
     f.add_argument("--sizes", required=True, help="comma-separated part sizes")
+    f.set_defaults(spec_args=("sizes",))
     f = fam.add_parser("fan", help="k cliques of order r sharing one vertex")
     f.add_argument("--k", type=int, required=True)
     f.add_argument("--r", type=int, required=True)
+    f.set_defaults(spec_args=("k", "r"))
     f = fam.add_parser("extremal", help="Turan host with embedded extremal patch")
     f.add_argument("--n", type=int, required=True)
     f.add_argument("--k", type=int, required=True)
     f.add_argument("--r", type=int, required=True)
     f.add_argument("--part", type=int, default=None, help="host part index")
+    f.set_defaults(spec_args=("n", "k", "r", "part"))
     f = fam.add_parser("split", help="clique joined to an independent set")
     f.add_argument("--n", type=int, required=True)
     f.add_argument("--k", type=int, required=True)
+    f.set_defaults(spec_args=("n", "k"))
     f = fam.add_parser("ch", help="bounded-degree bounded-matching maximizer")
     f.add_argument("--k", type=int, required=True)
+    f.set_defaults(spec_args=("k",))
     pc.set_defaults(func=_cmd_construct)
 
     pl = sub.add_parser("lambda", help="adjacency spectral radius")

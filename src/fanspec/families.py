@@ -1,9 +1,10 @@
 """Constructors for the named graph families.
 
 Everything here is deterministic: a family plus its parameters yields one
-fixed labeled graph.  Constructions that exceed the dense-kernel limit are
-returned as ``StructuredGraph`` (multipartite scaffold + patch edges);
-smaller ones come back as dense ``Graph`` objects.
+fixed labeled graph.  Constructions that exceed the dense-kernel limit and
+have at least two parts are returned as ``StructuredGraph`` (multipartite
+scaffold + patch edges); smaller or single-part ones come back as dense
+``Graph`` objects.
 """
 
 from __future__ import annotations
@@ -93,11 +94,12 @@ def embed_in_part(
 ) -> AnyGraph:
     """Complete multipartite graph with parts laid out consecutively, plus
     `edges` (labeled from 0 within part `host`) added inside the host part.
-    Dense up to the kernel limit, a ``StructuredGraph`` beyond it."""
+    Dense up to the kernel limit or with a single part (then the graph is
+    just the patch), a ``StructuredGraph`` otherwise."""
     offset = sum(sizes[:host])
     patch = [(offset + a, offset + b) for a, b in edges]
     n = sum(sizes)
-    if n > DENSE_KERNEL_LIMIT:
+    if n > DENSE_KERNEL_LIMIT and len(sizes) > 1:
         return StructuredGraph(sizes, patch)
     full = (1 << n) - 1
     rows = []
@@ -235,5 +237,4 @@ def split_graph(n: int, k: int) -> AnyGraph:
         return join(complete_graph(k), empty_graph(n - k))
     # large-n layout: the independent set is the big leading part, the
     # clique is k singleton parts
-    sizes = ([n - k] if n - k else []) + [1] * k
-    return StructuredGraph(sizes)
+    return embed_in_part(([n - k] if n - k else []) + [1] * k, 0, ())

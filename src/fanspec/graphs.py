@@ -9,10 +9,11 @@ Two representations live here:
   limit); the representation itself works for any n.
 
 * ``StructuredGraph`` -- a complete multipartite scaffold plus an explicit
-  set of intra-part "patch" edges.  Constructions on hundreds or thousands
-  of vertices (balanced multipartite hosts with a small graph embedded in
-  one part) use this form so that spectral iterations cost O(n) per step
-  instead of O(n^2).
+  set of intra-part "patch" edges, with at least two nonempty parts (so it
+  is connected).  Constructions on hundreds or thousands of vertices
+  (balanced multipartite hosts with a small graph embedded in one part) use
+  this form so that spectral iterations cost O(n) per step instead of
+  O(n^2).
 
 Vertices are always 0-indexed integers.  All operations are pure; instances
 are immutable and safe to share across workers.
@@ -265,6 +266,10 @@ class StructuredGraph:
     always adjacent; vertices in the same part are adjacent exactly when
     listed in ``patch``.  This is the large-n representation for the
     extremal constructions (multipartite host with a small embedded graph).
+
+    At least two parts must be nonempty: with one, there are no cross edges
+    and the graph is just its patch, a dense ``Graph``.  So a
+    ``StructuredGraph`` is always connected.
     """
 
     __slots__ = ("sizes", "patch", "n", "_offsets")
@@ -273,6 +278,8 @@ class StructuredGraph:
         sizes = tuple(int(s) for s in sizes)
         if not sizes or any(s < 0 for s in sizes):
             raise ValueError("part sizes must be nonnegative and nonempty")
+        if sum(1 for s in sizes if s > 0) < 2:
+            raise ValueError("a structured graph needs at least two nonempty parts")
         self.sizes = sizes
         self.n = sum(sizes)
         offsets = []
@@ -331,6 +338,9 @@ class StructuredGraph:
         a, b = (u, v) if u < v else (v, u)
         return (a, b) in self.patch
 
+    def is_connected(self) -> bool:
+        return True  # two nonempty parts, joined completely
+
     def partition(self) -> VertexPartition:
         return consecutive_partition(self.sizes)
 
@@ -364,7 +374,7 @@ def to_graph6(g: Graph) -> str:
     triangle in column-major order (x01, x02, x12, x03, ...) packed into
     6-bit groups, each offset by 63, zero-padded."""
     if g.n > 62:
-        raise Graph6Error("graph6 short form supports at most 62 vertices")
+        raise Graph6Error(f"graph6 short form supports at most 62 vertices, not {g.n}")
     out = [chr(g.n + 63)]
     acc = 0
     nbits = 0

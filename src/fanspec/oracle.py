@@ -427,6 +427,8 @@ def brute_force_f_report(
         raise EnumerationCapError(f"n_max={n_max} exceeds the enumeration cap {cap}")
     if beta < 0 or delta < 0:
         raise ValueError("beta and delta must be nonnegative")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     t0 = time.monotonic()
     pred = _bounded_pred(beta, delta)
     best = 0
@@ -549,8 +551,13 @@ def family_search(
     if spec.r < 3:
         raise ValueError("family search requires clique order r >= 3")
     t0 = time.monotonic()
-    candidates = g0_candidates(spec.k, cap=cap)
     vectors = _part_size_vectors(n, spec.r - 1, max_imbalance)
+    if not vectors:
+        raise ValueError(
+            f"no part sizes for n={n} in {spec.r - 1} parts with imbalance "
+            f"at most {max_imbalance}"
+        )
+    candidates = g0_candidates(spec.k, cap=cap)
     members = []
     for sizes in vectors:
         for cand in candidates:

@@ -2,21 +2,29 @@
 Rayleigh quotients, the multipartite eigenvalue equation and characteristic
 polynomial, and the signless Laplacian largest eigenvalue.
 
+One driver, ``_spectrum``, serves the adjacency and the signless Laplacian
+radius for both graph types.  Only ``_matvec`` (the operator x -> Ax) and
+``_pieces`` (the component split) tell a dense ``Graph`` from a
+``StructuredGraph``.  The degree vector is read off the operator as A*1, so
+no per-vertex degree pass runs.  Disconnected graphs are handled per
+component, taking the maximum (first component wins ties); a
+``StructuredGraph`` is connected by construction and is one piece.
+
 Power iteration runs on A + cI with c = max(1, maxdeg/2), so connected
 graphs give a primitive matrix (no +/-lambda oscillation on bipartite
 graphs) and the subdominant ratio stays bounded away from 1 on the
 near-bipartite hosts; with c = 1 the rounding noise injected per step gets
 amplified by 1/(1-ratio), which puts the float64 residual floor above
-tolerance at thousands of vertices.  Convergence is judged by the
-infinity-norm eigen-residual ||Ax - lambda*x|| on the max-entry-1
-normalized iterate, not by iterate distance.  Disconnected graphs are
-handled per component, taking the maximum (first component wins ties).
+tolerance at thousands of vertices.  D + A is positive semidefinite and
+iterates unshifted.  Convergence is judged by the infinity-norm
+eigen-residual ||Mx - lambda*x|| on the max-entry-1 normalized iterate, not
+by iterate distance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -55,10 +63,7 @@ def _dense_adjacency(g: Graph) -> np.ndarray:
 
 
 def _structured_matvec(sg: StructuredGraph) -> Callable[[np.ndarray], np.ndarray]:
-    pidx = np.empty(sg.n, dtype=np.intp)
-    for i in range(len(sg.sizes)):
-        r = sg.part_range(i)
-        pidx[r.start : r.stop] = i
+    pidx = np.repeat(np.arange(len(sg.sizes), dtype=np.intp), sg.sizes)
     nparts = len(sg.sizes)
     pa = np.array([a for a, _ in sorted(sg.patch)], dtype=np.intp)
     pb = np.array([b for _, b in sorted(sg.patch)], dtype=np.intp)
@@ -72,6 +77,24 @@ def _structured_matvec(sg: StructuredGraph) -> Callable[[np.ndarray], np.ndarray
         return y
 
     return matvec
+
+
+def _matvec(g: AnyGraph) -> Callable[[np.ndarray], np.ndarray]:
+    """Adjacency operator x -> Ax, O(n) per call for a ``StructuredGraph``."""
+    if isinstance(g, StructuredGraph):
+        return _structured_matvec(g)
+    a = _dense_adjacency(g)
+    return lambda x: a @ x
+
+
+def _pieces(g: AnyGraph) -> Iterator[tuple[AnyGraph, slice | list[int]]]:
+    """Connected components with their new->old vertex maps, by lowest
+    vertex.  A ``StructuredGraph`` is connected: one piece, mapped whole."""
+    if isinstance(g, StructuredGraph):
+        yield g, slice(None)
+        return
+    for comp in g.components():
+        yield induced_subgraph_mask(g, comp)
 
 
 def _power(
@@ -110,48 +133,38 @@ def _power(
     )
 
 
-def _component_spectrum(
-    g: Graph, tol: float, max_iters: int, diag_fn=None
-) -> SpectrumResult:
-    """Per-component power iteration; vector supported on the achieving
-    component (first component index wins ties), zeros elsewhere."""
-    n = g.n
-    if n == 0:
+def _spectrum(g: AnyGraph, tol: float, max_iters: int, signless: bool) -> SpectrumResult:
+    """Largest eigenvalue of A (or of D + A when `signless`), per connected
+    component; the vector is supported on the achieving component (first
+    component wins ties), zeros elsewhere."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+    if g.n == 0:
         return SpectrumResult(0.0, np.zeros(0), 0.0, 0)
     best_lam = -np.inf
-    best_vec: np.ndarray | None = None
-    best_resid = 0.0
-    best_map: list[int] = []
     total_its = 0
-    for comp in g.components():
-        if comp.bit_count() == 1:
+    for piece, vmap in _pieces(g):
+        if piece.n == 1:
             lam, vec, resid, its = 0.0, np.ones(1), 0.0, 0
-            vmap = [comp.bit_length() - 1]
-            if diag_fn is not None:
-                lam = float(diag_fn(g)[vmap[0]])
         else:
-            sub, vmap = induced_subgraph_mask(g, comp)
-            a = _dense_adjacency(sub)
-            diag = None
-            shift = max(1.0, max(sub.degrees()) / 2)
-            if diag_fn is not None:
-                # signless Laplacian is PSD; plain iteration, no shift
-                diag = np.array(diag_fn(g))[vmap]
-                shift = 0.0
+            mv = _matvec(piece)
+            if signless:
+                # D + A is positive semidefinite; plain iteration, no shift
+                diag, shift = mv(np.ones(piece.n)), 0.0
+            else:
+                diag, shift = None, max(1.0, float(mv(np.ones(piece.n)).max()) / 2)
             lam, vec, resid, its = _power(
-                lambda x: a @ x, sub.n, tol, max_iters, diag=diag, shift=shift
+                mv, piece.n, tol, max_iters, diag=diag, shift=shift
             )
         total_its += its
         if lam > best_lam:
             best_lam, best_vec, best_resid, best_map = lam, vec, resid, vmap
-    assert best_vec is not None
-    full = np.zeros(n)
+    full = np.zeros(g.n)
     full[best_map] = best_vec
     return SpectrumResult(
-        lam=max(best_lam, 0.0),
-        vector=full,
-        residual=best_resid,
-        iterations=total_its,
+        lam=max(best_lam, 0.0), vector=full, residual=best_resid, iterations=total_its
     )
 
 
@@ -160,18 +173,7 @@ def spectral_radius(
 ) -> SpectrumResult:
     """Largest adjacency eigenvalue with a nonnegative eigenvector,
     normalized to maximum entry exactly 1."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if isinstance(g, StructuredGraph):
-        nonempty = sum(1 for s in g.sizes if s > 0)
-        if nonempty >= 2:
-            shift = max(1.0, max(g.degrees()) / 2)
-            lam, vec, resid, its = _power(
-                _structured_matvec(g), g.n, tol, max_iters, shift=shift
-            )
-            return SpectrumResult(lam=lam, vector=vec, residual=resid, iterations=its)
-        g = g.to_graph()
-    return _component_spectrum(g, tol, max_iters)
+    return _spectrum(g, tol, max_iters, signless=False)
 
 
 def signless_laplacian_radius(
@@ -184,23 +186,8 @@ def signless_laplacian_radius(
 def signless_laplacian_spectrum(
     g: AnyGraph, tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS
 ) -> SpectrumResult:
-    """Full result (eigenvector, residual, iterations) for D + A.
-
-    D + A is entrywise nonnegative and positive semidefinite, so plain power
-    iteration converges without a shift."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if isinstance(g, StructuredGraph):
-        nonempty = sum(1 for s in g.sizes if s > 0)
-        if nonempty >= 2:
-            mv = _structured_matvec(g)
-            diag = np.array(g.degrees(), dtype=float)
-            lam, vec, resid, its = _power(mv, g.n, tol, max_iters, diag=diag, shift=0.0)
-            return SpectrumResult(lam=lam, vector=vec, residual=resid, iterations=its)
-        g = g.to_graph()
-    return _component_spectrum(
-        g, tol, max_iters, diag_fn=lambda gr: [float(d) for d in gr.degrees()]
-    )
+    """Full result (eigenvector, residual, iterations) for D + A."""
+    return _spectrum(g, tol, max_iters, signless=True)
 
 
 def rayleigh_quotient(g: AnyGraph, x) -> float:
@@ -212,11 +199,7 @@ def rayleigh_quotient(g: AnyGraph, x) -> float:
     den = float(vec @ vec)
     if den == 0.0:
         raise ValueError("Rayleigh quotient undefined for the zero vector")
-    if isinstance(g, StructuredGraph):
-        y = _structured_matvec(g)(vec)
-    else:
-        y = _dense_adjacency(g) @ vec
-    return float(vec @ y) / den
+    return float(vec @ _matvec(g)(vec)) / den
 
 
 def multipartite_spectral_radius(
@@ -297,11 +280,7 @@ def perron_entry_bound_check(
     spectral default because at thousands of vertices the absolute residual
     floor of float64 scales with lambda; the bound margin dwarfs it."""
     spec = fanspec_of(spec)
-    if isinstance(g, StructuredGraph):
-        nonempty = sum(1 for s in g.sizes if s > 0)
-        if nonempty < 2 and not g.to_graph().is_connected():
-            raise ValueError("graph must be connected")
-    elif not g.is_connected():
+    if not g.is_connected():
         raise ValueError("graph must be connected")
     res = spectral_radius(g, tol=tol)
     min_entry = float(res.vector.min())

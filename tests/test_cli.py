@@ -39,9 +39,33 @@ class TestConstruct:
         assert code == 0 and from_graph6(out.strip()).edge_count == 4
 
     def test_too_large_for_graph6(self):
-        code, _, err = run_cli(["construct", "extremal", "--n", "100", "--k", "2", "--r", "3"])
-        assert code == 2
-        assert "62" in err
+        # single-part families past the dense limit are dense graphs; they
+        # fail with the same message as structured ones
+        for argv in (
+            ["extremal", "--n", "100", "--k", "2", "--r", "3"],
+            ["split", "--n", "80", "--k", "0"],
+            ["turan", "--n", "100", "--p", "1"],
+        ):
+            code, _, err = run_cli(["construct", *argv])
+            assert code == 2
+            assert "62" in err
+            assert err.startswith("error: graph6 short form")
+
+    def test_every_family_matches_the_spec_parser(self):
+        # `construct FAMILY --opts` and the constructor spec build one graph
+        cases = [
+            (["turan", "--n", "7", "--p", "3"], "turan:7,3"),
+            (["multipartite", "--sizes", "3,2,2"], "multipartite:3,2,2"),
+            (["fan", "--k", "2", "--r", "4"], "fan:2,4"),
+            (["extremal", "--n", "12", "--k", "2", "--r", "3"], "extremal:12,2,3"),
+            (["extremal", "--n", "13", "--k", "2", "--r", "3", "--part", "1"], "extremal:13,2,3,1"),
+            (["split", "--n", "6", "--k", "2"], "split:6,2"),
+            (["ch", "--k", "4"], "ch:4"),
+        ]
+        for argv, spec in cases:
+            code, out, _ = run_cli(["construct", *argv])
+            assert code == 0, argv
+            assert out.strip() == to_graph6(parse_construct_spec(spec)), argv
 
 
 class TestLambda:
@@ -215,6 +239,26 @@ class TestHelpAndErrors:
         )
         assert code == 2
         assert "one graph source" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["brutef", "--beta", "1", "--delta", "1", "--nmax", "-3"],
+            ["lambda", "--construct", "turan:5,2", "--max-iters", "0"],
+            ["qlambda", "--construct", "extremal:100,2,3", "--max-iters", "0"],
+            ["family", "--n", "21", "--k", "2", "--r", "3", "--imbalance", "0"],
+            ["family", "--n", "21", "--k", "2", "--r", "3", "--imbalance", "-1"],
+            ["family", "--n", "1", "--k", "2", "--r", "3"],
+            ["verify", "--n", "1", "--k", "2", "--r", "3"],
+        ],
+        ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+    )
+    def test_bad_input_is_exit_2(self, argv):
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert out == ""
 
     def test_construct_spec_parser(self):
         assert parse_construct_spec("turan:5,2") == turan_graph(5, 2)

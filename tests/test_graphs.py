@@ -185,6 +185,14 @@ class TestStructuredGraph:
         with pytest.raises(ValueError):
             StructuredGraph((2, 2), [(0, 2)])
 
+    def test_needs_two_nonempty_parts(self):
+        # one nonempty part has no cross edges: it is just its patch
+        for sizes in ((100,), (0, 5), (3, 0, 0)):
+            with pytest.raises(ValueError):
+                StructuredGraph(sizes)
+        assert StructuredGraph((0, 5, 1)).is_connected()
+        assert StructuredGraph((1, 1)).is_connected()
+
     def test_dense_agreement(self):
         sg = StructuredGraph((4, 3, 2), [(0, 2), (4, 5)])
         g = sg.to_graph()

@@ -10,6 +10,7 @@ import pytest
 from fanspec import (
     ConvergenceError,
     Graph,
+    StructuredGraph,
     complete_graph,
     complete_multipartite,
     cycle_graph,
@@ -24,7 +25,9 @@ from fanspec import (
     signless_laplacian_radius,
     spectral_radius,
     split_graph,
+    turan_graph,
 )
+from fanspec.spectral import _matvec, signless_laplacian_spectrum
 
 
 def random_graph(n, p, rng):
@@ -79,11 +82,34 @@ class TestSpectralRadius:
         assert info.value.result.residual > 1e-12
 
     def test_structured_matches_dense(self):
-        for n, spec in ((70, (2, 3)), (80, (3, 4)), (90, (1, 3))):
-            sg, _ = extremal_fan_graph(n, spec)
-            lam_s = spectral_radius(sg).lam
-            lam_d = spectral_radius(sg.to_graph()).lam
-            assert lam_s == pytest.approx(lam_d, abs=1e-9)
+        rng = np.random.default_rng(5)
+        cases = ((70, (2, 3)), (80, (3, 4)), (90, (1, 3)))
+        graphs = [extremal_fan_graph(n, spec)[0] for n, spec in cases]
+        graphs.append(split_graph(100, 2))
+        for sg in graphs:
+            assert isinstance(sg, StructuredGraph)
+            dense = sg.to_graph()
+            for solve in (spectral_radius, signless_laplacian_spectrum):
+                res_s, res_d = solve(sg), solve(dense)
+                assert res_s.lam == pytest.approx(res_d.lam, abs=1e-9)
+                assert np.allclose(res_s.vector, res_d.vector, rtol=0, atol=1e-9)
+            for x in (spectral_radius(sg).vector, rng.uniform(-1, 1, sg.n)):
+                assert rayleigh_quotient(sg, x) == pytest.approx(
+                    rayleigh_quotient(dense, x), abs=1e-9
+                )
+
+    def test_operator_degrees_match_degree_list(self):
+        # the solver reads degrees off the operator as A*1
+        sg, _ = extremal_fan_graph(301, (3, 3))
+        for g in (sg, sg.to_graph(), petersen()):
+            assert _matvec(g)(np.ones(g.n)).tolist() == [float(d) for d in g.degrees()]
+
+    def test_single_part_constructions_are_dense(self):
+        for g in (turan_graph(100, 1), complete_multipartite([100])[0], split_graph(100, 0)):
+            assert isinstance(g, Graph) and g.n == 100 and g.edge_count == 0
+            res = spectral_radius(g)
+            assert res.lam == 0.0 and res.iterations == 0
+            assert res.vector.tolist() == [1.0] + [0.0] * 99
 
     def test_degree_sandwich_random(self):
         rng = random.Random(77)
@@ -97,6 +123,10 @@ class TestSpectralRadius:
     def test_tol_validation(self):
         with pytest.raises(ValueError):
             spectral_radius(cycle_graph(3), tol=0)
+        for g in (cycle_graph(3), extremal_fan_graph(100, (2, 3))[0]):
+            for solve in (spectral_radius, signless_laplacian_spectrum):
+                with pytest.raises(ValueError):
+                    solve(g, max_iters=0)
 
 
 class TestRayleigh:

@@ -10,10 +10,10 @@ Two representations live here:
 
 * ``StructuredGraph`` -- a complete multipartite scaffold plus an explicit
   set of intra-part "patch" edges, with at least two nonempty parts (so it
-  is connected).  Constructions on hundreds or thousands of vertices
+  is connected).  Constructions on hundreds to millions of vertices
   (balanced multipartite hosts with a small graph embedded in one part) use
-  this form so that spectral iterations cost O(n) per step instead of
-  O(n^2).
+  this form; fan detection and the spectral solves run on its twin cells
+  (``StructuredGraph.twin_cells``), whose number does not grow with n.
 
 Vertices are always 0-indexed integers.  All operations are pure; instances
 are immutable and safe to share across workers.
@@ -22,7 +22,7 @@ are immutable and safe to share across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 DENSE_KERNEL_LIMIT = 64
 
@@ -217,9 +217,16 @@ def induced_subgraph_mask(g: Graph, mask: int) -> tuple[Graph, list[int]]:
 
 @dataclass(frozen=True)
 class VertexPartition:
-    """Ordered partition of the vertex set into disjoint covering parts."""
+    """Ordered partition of the vertex set into disjoint covering parts.
 
-    parts: tuple[frozenset[int], ...]
+    A part is a frozenset, or a ``range`` for a run of consecutive vertices
+    (what ``consecutive_partition`` builds, so a million-vertex partition
+    holds no per-vertex sets); both support ``len``, ``in`` and iteration.
+    Equality compares the parts as stored, so a range part and a frozenset
+    of the same vertices are unequal; compare ``part_masks()`` to compare
+    vertex sets."""
+
+    parts: tuple[frozenset[int] | range, ...]
 
     @classmethod
     def of(cls, parts: Iterable[Iterable[int]]) -> "VertexPartition":
@@ -228,9 +235,9 @@ class VertexPartition:
     def validate(self, n: int) -> None:
         seen: set[int] = set()
         for part in self.parts:
-            if part & seen:
+            if not seen.isdisjoint(part):
                 raise ValueError("partition parts overlap")
-            seen |= part
+            seen.update(part)
         if seen != set(range(n)):
             raise ValueError("partition does not cover the vertex set")
 
@@ -253,9 +260,27 @@ def consecutive_partition(sizes: Sequence[int]) -> VertexPartition:
     parts = []
     start = 0
     for s in sizes:
-        parts.append(frozenset(range(start, start + s)))
+        parts.append(range(start, start + s))
         start += s
     return VertexPartition(tuple(parts))
+
+
+class TwinCells(NamedTuple):
+    """The twin cells of a ``StructuredGraph``: each patch vertex alone, and
+    the untouched rest of each part (the vertices no patch edge meets) as
+    one cell.  Vertices of one rest cell are pairwise non-adjacent with the
+    same neighbourhood, so the cells form an equitable partition.
+
+    Cells are ordered: first the nonempty rest cells by size, ties by part,
+    then one cell per patch vertex in ascending order (the last
+    ``len(patch_vertices)`` cells).  Ordering rest cells by size means
+    graphs that differ only in which of several equal parts holds the patch
+    list the same cell sizes in the same order.  ``sizes`` and ``parts`` give each
+    cell's vertex count and part."""
+
+    sizes: tuple[int, ...]
+    parts: tuple[int, ...]
+    patch_vertices: tuple[int, ...]
 
 
 class StructuredGraph:
@@ -270,6 +295,14 @@ class StructuredGraph:
     At least two parts must be nonempty: with one, there are no cross edges
     and the graph is just its patch, a dense ``Graph``.  So a
     ``StructuredGraph`` is always connected.
+
+    The vertices of a part that no patch edge meets are false twins, so
+    the graph has at most #parts + #patch vertices twin cells
+    (``twin_cells``).  ``patterns.contains_fan`` searches a dense graph
+    with at most k vertices of each cell, and ``spectral`` iterates on the
+    cell values and expands the vector to n entries once; neither
+    densifies.  ``to_graph`` and ``degrees`` are O(n^2 / 64) and O(n)
+    conveniences that no solver calls.
     """
 
     __slots__ = ("sizes", "patch", "n", "_offsets")
@@ -329,6 +362,21 @@ class StructuredGraph:
             out[a] += 1
             out[b] += 1
         return out
+
+    def twin_cells(self) -> TwinCells:
+        """The twin cells (see ``TwinCells``): at most #parts + #patch
+        vertices of them, found without a pass over the n vertices."""
+        patch_vertices = tuple(sorted({v for e in self.patch for v in e}))
+        patch_parts = tuple(self.part_of(v) for v in patch_vertices)
+        rest = list(self.sizes)
+        for i in patch_parts:
+            rest[i] -= 1
+        nonempty = tuple(sorted((i for i, s in enumerate(rest) if s), key=rest.__getitem__))
+        return TwinCells(
+            sizes=tuple(rest[i] for i in nonempty) + (1,) * len(patch_vertices),
+            parts=nonempty + patch_parts,
+            patch_vertices=patch_vertices,
+        )
 
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:

@@ -8,6 +8,7 @@ a neighborhood, and maximum matching is the s=2 case of the same engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .families import FanSpec, fanspec_of
 from .formulas import chvatal_hanson_f
@@ -225,13 +226,64 @@ def contains_fan(
     Candidate centers are scanned in decreasing degree order (only vertices
     of degree >= k(r-1) can host the intersection); each center is tested by
     packing (r-1)-cliques inside its neighborhood with early exit at k.
+
+    A ``StructuredGraph`` is searched on its twin reduction (see
+    ``_twin_reduction``), a dense graph of at most #patch + k * #parts
+    vertices, and the witness is mapped back to its labels.
     """
     spec = fanspec_of(spec)
-    if isinstance(g, StructuredGraph):
-        g = g.to_graph()
-    k, r = spec.k, spec.r
+    if not isinstance(g, StructuredGraph):
+        return _scan_centers(g, g.degrees(), spec.k, spec.r)
+    small, labels, degs = _twin_reduction(g, spec.k)
+    w = _scan_centers(small, degs, spec.k, spec.r)
+    if w is None:
+        return None
+    cliques = tuple(frozenset(labels[u] for u in c) for c in w.cliques)
+    return FanWitness(labels[w.center], cliques)
+
+
+def _twin_reduction(sg: StructuredGraph, k: int) -> tuple[Graph, list[int], list[int]]:
+    """Dense induced subgraph on the patch vertices plus the first
+    min(rest, k) untouched vertices of each part, relabeled in ascending
+    order; returned with each vertex's label and degree in `sg`.
+
+    Untouched vertices of a part are false twins and independent, and a
+    fan's independence number is k, so each of its k cliques takes at most
+    one of them: a fan with a given center exists in `sg` exactly when it
+    does here.  Twins have equal degrees, so the first twin in the scan
+    order (-degree, label) is always kept, and the scan meets the same
+    first center as on the dense graph.
+    """
+    cells = sg.twin_cells()
+    npatch = len(cells.patch_vertices)
+    kept = list(zip(cells.patch_vertices, cells.parts[len(cells.parts) - npatch :]))
+    touched = set(cells.patch_vertices)
+    for i in range(len(sg.sizes)):
+        untouched = (v for v in sg.part_range(i) if v not in touched)
+        kept.extend((v, i) for v in islice(untouched, k))
+    kept.sort()
+    labels = [v for v, _ in kept]
+    index = {v: j for j, v in enumerate(labels)}
+    part_masks = [0] * len(sg.sizes)
+    for j, (_, i) in enumerate(kept):
+        part_masks[i] |= 1 << j
+    full = (1 << len(kept)) - 1
+    rows = [full ^ part_masks[i] for _, i in kept]
+    degs = [sg.n - sg.sizes[i] for _, i in kept]
+    for a, b in sg.patch:
+        ia, ib = index[a], index[b]
+        rows[ia] |= 1 << ib
+        rows[ib] |= 1 << ia
+        degs[ia] += 1
+        degs[ib] += 1
+    return Graph._from_rows_unchecked(tuple(rows)), labels, degs
+
+
+def _scan_centers(g: Graph, degs: list[int], k: int, r: int) -> FanWitness | None:
+    """The center scan of ``contains_fan`` on a dense graph, ordered by
+    (-degs[v], v); `degs` may exceed the degrees in `g` (the degrees in the
+    graph `g` was reduced from)."""
     need = k * (r - 1)
-    degs = g.degrees()
     for v in sorted(range(g.n), key=lambda u: (-degs[u], u)):
         if degs[v] < need:
             break

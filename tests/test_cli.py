@@ -96,6 +96,21 @@ class TestLambda:
         assert code == 3
         assert "residual" in err
 
+    def test_large_structured_default_tol_converges(self):
+        # the default tol at n = 10^5 is reachable because each step sums
+        # a handful of weighted cell values; a sum over the 10^5 vertex
+        # values rounds to residuals above 1e-10
+        proc = subprocess.run(
+            [sys.executable, "-m", "fanspec.cli", "lambda", "--construct", "extremal:100000,3,3"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        d = json.loads(proc.stdout)
+        assert d["residual"] <= 1e-10
+        assert d["lambda"] == pytest.approx(50000.00012, abs=1e-5)
+
     def test_sweep_csv(self):
         code, out, _ = run_cli(
             ["lambda", "--construct", "extremal:{n},2,3", "--sweep", "n=50:25:100"]

@@ -9,6 +9,7 @@ from fanspec import (
     Graph,
     Graph6Error,
     StructuredGraph,
+    VertexPartition,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -18,6 +19,7 @@ from fanspec import (
     path_graph,
     to_graph6,
 )
+from fanspec.graphs import consecutive_partition
 
 
 def random_graph(n, p, rng):
@@ -200,3 +202,46 @@ class TestStructuredGraph:
             assert sg.degree(u) == g.degree(u)
             for v in range(sg.n):
                 assert sg.has_edge(u, v) == g.has_edge(u, v)
+
+    def test_twin_cells_are_equitable(self):
+        # rest cells first (empty ones dropped, by size, ties by part), then
+        # one cell per patch vertex; every vertex of a cell has the same number of neighbours
+        # in each cell
+        cases = {
+            ((4, 3, 2), ((0, 2), (4, 5))): ((1, 2, 2, 1, 1, 1, 1), (1, 0, 2, 0, 0, 1, 1), (0, 2, 4, 5)),
+            ((2, 3), ((0, 1),)): ((3, 1, 1), (1, 0, 0), (0, 1)),
+            ((5, 1, 1), ()): ((1, 1, 5), (1, 2, 0), ()),
+        }
+        for (sizes, patch), want in cases.items():
+            sg = StructuredGraph(sizes, patch)
+            cells = sg.twin_cells()
+            assert tuple(cells) == want
+            assert sum(cells.sizes) == sg.n
+            members = [
+                [v for v in sg.part_range(p) if v not in cells.patch_vertices]
+                for p in cells.parts[: len(cells.sizes) - len(cells.patch_vertices)]
+            ] + [[v] for v in cells.patch_vertices]
+            assert [len(m) for m in members] == list(cells.sizes)
+            g = sg.to_graph()
+            for c in members:
+                for d in members:
+                    counts = {sum(g.has_edge(u, w) for w in d) for u in c}
+                    assert len(counts) == 1
+
+
+class TestVertexPartition:
+    def test_consecutive_parts_are_ranges(self):
+        p = consecutive_partition([3, 0, 2])
+        assert all(isinstance(part, range) for part in p.parts)
+        assert p.n == 5
+        p.validate(5)
+        assert p.part_masks() == [0b00111, 0, 0b11000]
+        assert p.part_masks() == VertexPartition.of(map(frozenset, p.parts)).part_masks()
+        assert [frozenset(part) for part in p.parts] == [{0, 1, 2}, set(), {3, 4}]
+
+    def test_validate_mixed_parts(self):
+        VertexPartition((range(0, 2), frozenset({2, 3}))).validate(4)
+        with pytest.raises(ValueError):
+            VertexPartition((range(0, 3), frozenset({2, 3}))).validate(4)
+        with pytest.raises(ValueError):
+            VertexPartition((range(0, 2), frozenset({3}))).validate(4)

@@ -7,6 +7,7 @@ import pytest
 
 from fanspec import (
     Graph,
+    StructuredGraph,
     check_partition_inequality,
     clique_packing_number,
     complete_graph,
@@ -18,9 +19,13 @@ from fanspec import (
     fan_graph,
     matching_number,
     max_cut_partition,
+    spectral_radius,
+    split_graph,
     turan_graph,
 )
+from fanspec.families import _g0_patch, balanced_sizes
 from fanspec.graphs import consecutive_partition
+from fanspec.spectral import signless_laplacian_spectrum
 
 
 def naive_contains(g, k, r):
@@ -182,6 +187,60 @@ class TestContainsFan:
             g = random_graph(5, rng.random(), rng)
             for k, r in ((1, 3), (2, 3), (1, 4), (2, 2)):
                 assert (contains_fan(g, (k, r)) is not None) == naive_contains(g, k, r)
+
+
+def structured_hosts():
+    """(graph, spec) pairs: StructuredGraph(sizes, patch) built directly, so
+    the structured path runs at sizes where embed_in_part would return a
+    dense graph.  The host is the balanced (r-1)-partite graph with the
+    f(h-1, h-1) maximizer in its first part (and, up to n = 30, its last
+    part) for h = k (fan-free) and h = k + 1 (contains the fan)."""
+    for n in (12, 20, 30, 70, 90):
+        for k, r in ((1, 3), (2, 3), (3, 3), (2, 4), (3, 4), (2, 5)):
+            sizes = balanced_sizes(n, r - 1)
+            for host_k in (k, k + 1):
+                # the dense oracle needs 7-52 s for each fan-free (3,4)
+                # host at n >= 70; the fan-containing ones take milliseconds
+                if (k, r) == (3, 4) and n >= 70 and host_k == k:
+                    continue
+                m, patch = _g0_patch(host_k)
+                for host in {0, len(sizes) - 1} if n <= 30 else {0}:
+                    if sizes[host] < m:
+                        continue
+                    off = sum(sizes[:host])
+                    edges = [(off + a, off + b) for a, b in patch]
+                    yield StructuredGraph(sizes, edges), (k, r)
+
+
+class TestStructuredFan:
+    def test_matches_dense_search(self):
+        # the twin reduction against the full dense search: same answer,
+        # same witness, and every witness valid on the full graph
+        count = 0
+        for sg, spec in structured_hosts():
+            dense = sg.to_graph()
+            w = contains_fan(sg, spec)
+            assert w == contains_fan(dense, spec), (sg, spec)
+            if w is not None:
+                w.validate(dense)
+                count += 1
+        assert count > 20
+
+    def test_never_densifies(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("densified a StructuredGraph")
+
+        monkeypatch.setattr(StructuredGraph, "to_graph", refuse)
+        monkeypatch.setattr(StructuredGraph, "degrees", refuse)
+        n = 10**6
+        for g in (extremal_fan_graph(n, (3, 3))[0], split_graph(n, 3)):
+            assert isinstance(g, StructuredGraph)
+            contains_fan(g, (3, 3))
+            contains_fan(g, (2, 2))
+            spectral_radius(g, tol=1e-10 * n)
+            signless_laplacian_spectrum(g, tol=1e-10 * n)
+        w = contains_fan(extremal_fan_graph(n, (4, 3))[0], (3, 3))
+        assert w is not None and w.center == 0
 
 
 def brute_max_cut(g, p):

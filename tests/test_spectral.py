@@ -34,6 +34,31 @@ def random_graph(n, p, rng):
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
 
 
+def random_structured(n, rng, max_patch=None):
+    """StructuredGraph on n vertices: 2-5 random part sizes (two nonempty
+    at least) and random edges inside random parts."""
+    while True:
+        cuts = sorted(rng.sample(range(1, n), rng.randint(1, 4)))
+        sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+        if sum(1 for s in sizes if s) >= 2:
+            break
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    patch = set()
+    for _ in range(rng.randint(0, max_patch or n)):
+        i = rng.randrange(len(sizes))
+        if sizes[i] >= 2:
+            a, b = rng.sample(range(sizes[i]), 2)
+            patch.add((starts[i] + min(a, b), starts[i] + max(a, b)))
+    return StructuredGraph(sizes, patch)
+
+
+def _adjacency(g):
+    a = np.zeros((g.n, g.n))
+    for u, v in g.edges():
+        a[u, v] = a[v, u] = 1.0
+    return a
+
+
 def petersen():
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(i, i + 5) for i in range(5)]
@@ -82,21 +107,88 @@ class TestSpectralRadius:
         assert info.value.result.residual > 1e-12
 
     def test_structured_matches_dense(self):
+        # twin-cell solves against the dense solve, with the residual
+        # recomputed from the dense matrix on the returned vector; the
+        # directly built StructuredGraph(sizes, patch) cases run the
+        # quotient at sizes where the constructions come back dense
         rng = np.random.default_rng(5)
+        prng = random.Random(9)
         cases = ((70, (2, 3)), (80, (3, 4)), (90, (1, 3)))
         graphs = [extremal_fan_graph(n, spec)[0] for n, spec in cases]
         graphs.append(split_graph(100, 2))
+        graphs += [random_structured(n, prng) for n in (12, 20, 30, 70) for _ in range(4)]
+        graphs.append(StructuredGraph((7, 6, 6), [(0, 1), (1, 2), (0, 2)]))
+        graphs.append(StructuredGraph((3, 1, 1), [(0, 1), (0, 2), (1, 2)]))
         for sg in graphs:
             assert isinstance(sg, StructuredGraph)
             dense = sg.to_graph()
-            for solve in (spectral_radius, signless_laplacian_spectrum):
+            for solve, m in (
+                (spectral_radius, _adjacency(dense)),
+                (signless_laplacian_spectrum, _q_matrix(dense)),
+            ):
                 res_s, res_d = solve(sg), solve(dense)
                 assert res_s.lam == pytest.approx(res_d.lam, abs=1e-9)
                 assert np.allclose(res_s.vector, res_d.vector, rtol=0, atol=1e-9)
+                assert res_s.vector.max() == 1.0
+                resid = np.max(np.abs(m @ res_s.vector - res_s.lam * res_s.vector))
+                assert res_s.residual == pytest.approx(resid, abs=1e-9)
+                assert abs(res_s.iterations - res_d.iterations) <= 1
             for x in (spectral_radius(sg).vector, rng.uniform(-1, 1, sg.n)):
                 assert rayleigh_quotient(sg, x) == pytest.approx(
                     rayleigh_quotient(dense, x), abs=1e-9
                 )
+
+    def test_equal_parts_are_interchangeable(self):
+        # the same patch in any of several equal parts gives bit-identical
+        # solves, so ties between such graphs never fall to rounding
+        patch = [(0, 1), (1, 2), (0, 2), (3, 4), (3, 5), (4, 5)]
+        for sizes in ((225, 225), (30, 30, 30), (40, 41, 40)):
+            outcomes = []
+            for host in (i for i, s in enumerate(sizes) if s == sizes[0]):
+                off = sum(sizes[:host])
+                sg = StructuredGraph(sizes, [(off + a, off + b) for a, b in patch])
+                outcomes.append(
+                    [
+                        (res.lam, res.residual, res.iterations)
+                        for res in (spectral_radius(sg), signless_laplacian_spectrum(sg))
+                    ]
+                )
+            assert len(outcomes) >= 2
+            assert all(o == outcomes[0] for o in outcomes)
+
+    def test_nonconverged_vector_is_full_length(self):
+        for g in (extremal_fan_graph(300, (3, 3))[0], Graph(5, [(0, 1), (2, 3), (3, 4)])):
+            with pytest.raises(ConvergenceError) as info:
+                spectral_radius(g, tol=1e-15, max_iters=2)
+            assert info.value.result.vector.shape == (g.n,)
+
+    def test_eigsh_cross_check(self):
+        # an independent sparse operator for random structured graphs of
+        # about 10^4 vertices: scaffold as (sum x) - B^T B x, patch as a
+        # sparse matrix
+        sp = pytest.importorskip("scipy.sparse")
+        spla = pytest.importorskip("scipy.sparse.linalg")
+        rng = random.Random(23)
+        for _ in range(4):
+            sg = random_structured(rng.randint(9000, 11000), rng, max_patch=40)
+            n = sg.n
+            part = np.repeat(np.arange(len(sg.sizes)), sg.sizes)
+            b = sp.csr_matrix((np.ones(n), (part, np.arange(n))), shape=(len(sg.sizes), n))
+            rows = [a for a, _ in sg.patch] + [b_ for _, b_ in sg.patch]
+            cols = [b_ for _, b_ in sg.patch] + [a for a, _ in sg.patch]
+            patch = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+            degrees = (n - np.asarray(b.sum(axis=1)).ravel()[part]) + np.asarray(
+                patch.sum(axis=1)
+            ).ravel()
+            for solve, diag in ((spectral_radius, 0.0), (signless_laplacian_spectrum, degrees)):
+                op = spla.LinearOperator(
+                    (n, n),
+                    matvec=lambda x, d=diag: x.sum() - b.T @ (b @ x) + patch @ x + d * x,
+                    dtype=float,
+                )
+                ref = float(spla.eigsh(op, k=1, which="LA", tol=1e-13)[0][0])
+                lam = solve(sg, tol=1e-10 * n).lam
+                assert lam == pytest.approx(ref, abs=1e-9 * n)
 
     def test_operator_degrees_match_degree_list(self):
         # the solver reads degrees off the operator as A*1
@@ -277,10 +369,7 @@ class TestSignlessLaplacian:
 
 
 def _q_matrix(g):
-    a = np.zeros((g.n, g.n))
-    for u, v in g.edges():
-        a[u, v] = a[v, u] = 1.0
-    return a + np.diag([float(d) for d in g.degrees()])
+    return _adjacency(g) + np.diag([float(d) for d in g.degrees()])
 
 
 class TestPerronBound:

@@ -41,7 +41,6 @@ from .oracle import (
     G0Candidate,
     MainTheoremReport,
     brute_force_extremal,
-    brute_force_f,
     brute_force_f_report,
     enumerate_graphs,
     family_search,
@@ -66,7 +65,7 @@ from .spectral import (
     multipartite_spectral_radius,
     perron_entry_bound_check,
     rayleigh_quotient,
-    signless_laplacian_radius,
+    signless_laplacian_spectrum,
     spectral_radius,
 )
 

@@ -18,21 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Graph, _mask_image
 
 
 def permuted_rows(rows: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
     """Adjacency rows after relabeling with perm[old] = new."""
-    n = len(rows)
-    new = [0] * n
-    for u in range(n):
-        row = rows[u]
-        nr = 0
-        while row:
-            low = row & -row
-            nr |= 1 << perm[low.bit_length() - 1]
-            row ^= low
-        new[perm[u]] = nr
+    new = [0] * len(rows)
+    for u, row in enumerate(rows):
+        new[perm[u]] = _mask_image(row, perm)
     return tuple(new)
 
 

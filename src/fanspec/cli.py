@@ -81,17 +81,13 @@ def parse_construct_spec(text: str) -> AnyGraph:
 
 
 def _input_graphs(args) -> list[AnyGraph]:
-    sources = [
-        s for s in (getattr(args, "construct", None), getattr(args, "g6", None), getattr(args, "file", None))
-        if s
-    ]
-    if len(sources) > 1:
+    if sum(1 for s in (args.construct, args.g6, args.file) if s) > 1:
         raise ValueError("give exactly one graph source")
-    if getattr(args, "construct", None):
+    if args.construct:
         return [parse_construct_spec(args.construct)]
-    if getattr(args, "g6", None):
+    if args.g6:
         return [from_graph6(args.g6)]
-    if getattr(args, "file", None):
+    if args.file:
         with open(args.file) as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
     else:
@@ -132,7 +128,7 @@ def _parse_sweep(text: str) -> tuple[str, range]:
     return var, range(start, stop + 1, step)
 
 
-def _cmd_lambda(args, signless: bool) -> int:
+def _cmd_lambda(args) -> int:
     if args.sweep:
         if not args.construct or "{n}" not in args.construct:
             raise ValueError("--sweep needs --construct with an {n} placeholder")
@@ -142,13 +138,13 @@ def _cmd_lambda(args, signless: bool) -> int:
         print("n,lambda,residual,iterations")
         for n in rng:
             g = parse_construct_spec(args.construct.replace("{n}", str(n)))
-            res = _run_spectrum(g, args, signless)
+            res = _run_spectrum(g, args)
             print(f"{n},{fmt12(res.lam)},{fmt12(res.residual)},{res.iterations}")
         return 0
     graphs = _input_graphs(args)
     outputs = []
     for g in graphs:
-        res = _run_spectrum(g, args, signless)
+        res = _run_spectrum(g, args)
         if args.raw:
             outputs.append(fmt12(res.lam))
         else:
@@ -157,8 +153,8 @@ def _cmd_lambda(args, signless: bool) -> int:
     return 0
 
 
-def _run_spectrum(g: AnyGraph, args, signless: bool):
-    if signless:
+def _run_spectrum(g: AnyGraph, args):
+    if args.signless:
         return signless_laplacian_spectrum(g, tol=args.tol, max_iters=args.max_iters)
     return spectral_radius(g, tol=args.tol, max_iters=args.max_iters)
 
@@ -322,23 +318,18 @@ def build_parser() -> argparse.ArgumentParser:
     f.set_defaults(spec_args=("k",))
     pc.set_defaults(func=_cmd_construct)
 
-    pl = sub.add_parser("lambda", help="adjacency spectral radius")
-    _add_graph_source(pl)
-    _add_common_numeric(pl)
-    pl.add_argument("--vector", action="store_true", help="include the Perron vector")
-    pl.add_argument("--raw", action="store_true", help="print only the 12-digit value")
-    pl.add_argument("--sweep", help="n-sweep start:step:stop, CSV output")
-    pl.add_argument("--out", help="write output to this file")
-    pl.set_defaults(func=lambda a: _cmd_lambda(a, signless=False))
-
-    pq = sub.add_parser("qlambda", help="signless Laplacian spectral radius")
-    _add_graph_source(pq)
-    _add_common_numeric(pq)
-    pq.add_argument("--vector", action="store_true", help="include the eigenvector")
-    pq.add_argument("--raw", action="store_true", help="print only the 12-digit value")
-    pq.add_argument("--sweep", help="n-sweep start:step:stop, CSV output")
-    pq.add_argument("--out", help="write output to this file")
-    pq.set_defaults(func=lambda a: _cmd_lambda(a, signless=True))
+    for name, what, vector, signless in (
+        ("lambda", "adjacency spectral radius", "include the Perron vector", False),
+        ("qlambda", "signless Laplacian spectral radius", "include the eigenvector", True),
+    ):
+        pl = sub.add_parser(name, help=what)
+        _add_graph_source(pl)
+        _add_common_numeric(pl)
+        pl.add_argument("--vector", action="store_true", help=vector)
+        pl.add_argument("--raw", action="store_true", help="print only the 12-digit value")
+        pl.add_argument("--sweep", help="n-sweep start:step:stop, CSV output")
+        pl.add_argument("--out", help="write output to this file")
+        pl.set_defaults(func=_cmd_lambda, signless=signless)
 
     pp = sub.add_parser("charpoly", help="multipartite characteristic polynomial")
     pp.add_argument("--sizes", required=True, help="comma-separated part sizes")

@@ -18,6 +18,7 @@ from .graphs import (
     Graph,
     StructuredGraph,
     VertexPartition,
+    _multipartite_rows,
     complete_graph,
     consecutive_partition,
     empty_graph,
@@ -101,17 +102,7 @@ def embed_in_part(
     n = sum(sizes)
     if n > DENSE_KERNEL_LIMIT and len(sizes) > 1:
         return StructuredGraph(sizes, patch)
-    full = (1 << n) - 1
-    rows = []
-    start = 0
-    for s in sizes:
-        part_mask = ((1 << s) - 1) << start
-        rows.extend([full ^ part_mask] * s)
-        start += s
-    for a, b in patch:
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
-    return Graph._from_rows_unchecked(tuple(rows))
+    return Graph._from_rows_unchecked(_multipartite_rows(sizes, patch))
 
 
 def complete_multipartite(

@@ -38,6 +38,33 @@ def _mask_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _mask_image(mask: int, perm: Sequence[int]) -> int:
+    """The vertex set `mask` after relabeling with perm[old] = new."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _multipartite_rows(
+    sizes: Sequence[int], patch: Iterable[tuple[int, int]]
+) -> tuple[int, ...]:
+    """Bitmask rows of the complete multipartite graph with parts of the
+    given sizes laid out consecutively, plus the `patch` edges."""
+    full = (1 << sum(sizes)) - 1
+    rows = []
+    start = 0
+    for s in sizes:
+        rows.extend([full ^ (((1 << s) - 1) << start)] * s)
+        start += s
+    for a, b in patch:
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    return tuple(rows)
+
+
 class Graph:
     """Undirected simple graph over vertices 0..n-1 with bitmask rows."""
 
@@ -91,9 +118,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
-
-    def neighbors_mask(self, u: int) -> int:
-        return self.rows[u]
 
     def neighbors(self, u: int) -> list[int]:
         return list(_mask_bits(self.rows[u]))
@@ -345,9 +369,6 @@ class StructuredGraph:
         return range(self._offsets[i], self._offsets[i] + self.sizes[i])
 
     @property
-    def offsets(self) -> tuple[int, ...]:
-        return self._offsets
-
     def edge_count(self) -> int:
         cross = (self.n * self.n - sum(s * s for s in self.sizes)) // 2
         return cross + len(self.patch)
@@ -388,9 +409,6 @@ class StructuredGraph:
 
     def is_connected(self) -> bool:
         return True  # two nonempty parts, joined completely
-
-    def partition(self) -> VertexPartition:
-        return consecutive_partition(self.sizes)
 
     def to_graph(self) -> Graph:
         """Densify.  Cost is O(n^2 / 64) words; fine up to a few thousand."""

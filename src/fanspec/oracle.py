@@ -34,7 +34,7 @@ from .canon import canonical_form  # noqa: F401
 from .canon import canonical_info, permuted_rows
 from .families import FanSpec, embed_in_part, fanspec_of
 from .formulas import FormulaResult, fan_extremal_number
-from .graphs import Graph, StructuredGraph, from_graph6, to_graph6
+from .graphs import Graph, _mask_image, from_graph6, to_graph6
 from .patterns import clique_packing_number, contains_fan, matching_number
 from .spectral import spectral_radius
 
@@ -44,15 +44,6 @@ LAMBDA_WITNESS_WINDOW = 1e-8
 
 class EnumerationCapError(ValueError):
     """Requested order exceeds the enumeration cap (override to raise it)."""
-
-
-def _mask_image(mask: int, perm: tuple[int, ...]) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << perm[low.bit_length() - 1]
-        mask ^= low
-    return out
 
 
 def _mask_orbit_reps(n: int, gens: Sequence[tuple[int, ...]]) -> list[int]:
@@ -114,10 +105,6 @@ def _levels(n_max: int, pred: Pred | None = None) -> Iterator[tuple[int, list[tu
     for size in range(1, n_max + 1):
         level = _level_up(level, pred)
         yield size, level
-
-
-def _edge_count(rows: tuple[int, ...]) -> int:
-    return sum(r.bit_count() for r in rows) // 2
 
 
 def enumerate_graphs(n: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Graph]:
@@ -343,7 +330,7 @@ def brute_force_extremal(
         if mode == "edges":
             matches = best == formula.value
         else:
-            edge_best = {from_graph6_edges(s) for s in witnesses}
+            edge_best = {from_graph6(s).edge_count for s in witnesses}
             matches = edge_best == {formula.value}
     return ExtremalReport(
         n=n,
@@ -357,10 +344,6 @@ def brute_force_extremal(
         matches_formula=matches,
         wall_seconds=time.monotonic() - t0,
     )
-
-
-def from_graph6_edges(g6: str) -> int:
-    return from_graph6(g6).edge_count
 
 
 # --- bounded degree + bounded matching edge maximum -------------------------
@@ -383,7 +366,7 @@ def _scan_f_batch(args) -> dict:
     for rows in parent_batch:
         for crows in _children_of_parent_aug(rows, pred):
             examined += 1
-            best = max(best, _edge_count(crows))
+            best = max(best, Graph._from_rows_unchecked(crows).edge_count)
     return {"examined": examined, "best": best}
 
 
@@ -435,7 +418,7 @@ def brute_force_f_report(
     examined = 0
     for _, level in _levels(n_max - 1, pred):
         examined += len(level)
-        best = max(best, *map(_edge_count, level))
+        best = max(best, *(Graph._from_rows_unchecked(rows).edge_count for rows in level))
     if n_max >= 1:  # the empty graph is the one class with no parent
         tasks = [(batch, beta, delta) for batch in _chunks(level, BATCH_PARENTS)]
         for partial in _map_batches(_scan_f_batch, tasks, jobs):
@@ -449,12 +432,6 @@ def brute_force_f_report(
         graphs_examined=examined,
         wall_seconds=time.monotonic() - t0,
     )
-
-
-def brute_force_f(
-    beta: int, delta: int, n_max: int, *, jobs: int = 1, cap: int = DEFAULT_ENUM_CAP
-) -> int:
-    return brute_force_f_report(beta, delta, n_max, jobs=jobs, cap=cap).value
 
 
 # --- structured family search -----------------------------------------------
@@ -524,7 +501,7 @@ def _scan_family_batch(args) -> list[dict]:
             "g0": g0_g6,
             "host": host,
             "free": witness is None,
-            "edges": member.edge_count() if isinstance(member, StructuredGraph) else member.edge_count,
+            "edges": member.edge_count,
         }
         if witness is None:
             rec["lam"] = spectral_radius(member, tol=tol).lam
@@ -596,7 +573,6 @@ def family_search(
         # construction labeling is already deterministic; canonicalizing a
         # near-multipartite host would fight its huge automorphism group
         g = embed_in_part(best["sizes"], best["host"], from_graph6(best["g0"]).edges())
-        assert isinstance(g, Graph)
         witnesses = (to_graph6(g),)
     winner = {
         "part_sizes": list(best["sizes"]),
@@ -685,7 +661,7 @@ def verify_main_theorem(
         edge_rep = brute_force_extremal(n, spec, "edges", jobs=jobs, cap=cap)
         brute_lam = float(lam_rep.best_value)
         brute_edges = int(edge_rep.best_value)
-        witness_edges = {from_graph6_edges(s) for s in lam_rep.witnesses}
+        witness_edges = {from_graph6(s).edge_count for s in lam_rep.witnesses}
         brute_agrees = witness_edges == {brute_edges}
     return MainTheoremReport(
         n=n,

@@ -17,6 +17,7 @@ from .graphs import (
     StructuredGraph,
     VertexPartition,
     _mask_bits,
+    _multipartite_rows,
     induced_subgraph_mask,
 )
 
@@ -254,29 +255,19 @@ def _twin_reduction(sg: StructuredGraph, k: int) -> tuple[Graph, list[int], list
     order (-degree, label) is always kept, and the scan meets the same
     first center as on the dense graph.
     """
-    cells = sg.twin_cells()
-    npatch = len(cells.patch_vertices)
-    kept = list(zip(cells.patch_vertices, cells.parts[len(cells.parts) - npatch :]))
-    touched = set(cells.patch_vertices)
+    touched = {v for e in sg.patch for v in e}
+    labels: list[int] = []
+    counts = []
     for i in range(len(sg.sizes)):
-        untouched = (v for v in sg.part_range(i) if v not in touched)
-        kept.extend((v, i) for v in islice(untouched, k))
-    kept.sort()
-    labels = [v for v, _ in kept]
+        part = sg.part_range(i)
+        untouched = islice((v for v in part if v not in touched), k)
+        kept = sorted([v for v in touched if v in part] + list(untouched))
+        labels.extend(kept)
+        counts.append(len(kept))
     index = {v: j for j, v in enumerate(labels)}
-    part_masks = [0] * len(sg.sizes)
-    for j, (_, i) in enumerate(kept):
-        part_masks[i] |= 1 << j
-    full = (1 << len(kept)) - 1
-    rows = [full ^ part_masks[i] for _, i in kept]
-    degs = [sg.n - sg.sizes[i] for _, i in kept]
-    for a, b in sg.patch:
-        ia, ib = index[a], index[b]
-        rows[ia] |= 1 << ib
-        rows[ib] |= 1 << ia
-        degs[ia] += 1
-        degs[ib] += 1
-    return Graph._from_rows_unchecked(tuple(rows)), labels, degs
+    rows = _multipartite_rows(counts, [(index[a], index[b]) for a, b in sg.patch])
+    degs = [sg.degree(v) for v in labels]
+    return Graph._from_rows_unchecked(rows), labels, degs
 
 
 def _scan_centers(g: Graph, degs: list[int], k: int, r: int) -> FanWitness | None:

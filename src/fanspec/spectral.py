@@ -112,12 +112,12 @@ def _matvec(g: AnyGraph) -> Callable[[np.ndarray], np.ndarray]:
 
 class _Piece(NamedTuple):
     """A connected piece as the power iteration sees it: the operator on
-    iterates of length `size`, the vertex count each entry stands for
-    (None: one each), and the map of an iterate to the n-vector."""
+    iterates of length `size`, the vertex count each entry stands for, and
+    the map of an iterate to the n-vector."""
 
     size: int
     matvec: Callable[[np.ndarray], np.ndarray]
-    weights: np.ndarray | None
+    weights: np.ndarray
     expand: Callable[[np.ndarray], np.ndarray]
 
 
@@ -138,7 +138,7 @@ def _pieces(g: AnyGraph) -> Iterator[_Piece]:
             full[vmap] = x
             return full
 
-        yield _Piece(sub.n, _matvec(sub), None, expand)
+        yield _Piece(sub.n, _matvec(sub), np.ones(sub.n), expand)
 
 
 def _twin_quotient(sg: StructuredGraph) -> _Piece:
@@ -170,28 +170,25 @@ def _twin_quotient(sg: StructuredGraph) -> _Piece:
 
 def _power(
     matvec: Callable[[np.ndarray], np.ndarray],
-    n: int,
+    weights: np.ndarray,
     tol: float,
     max_iters: int,
-    diag: np.ndarray | None = None,
-    shift: float = 1.0,
-    weights: np.ndarray | None = None,
+    shift: float,
 ) -> tuple[float, np.ndarray, float, int]:
-    """Power iteration on matvec(+diag) + shift*I with the residual contract.
+    """Power iteration on M + shift*I, M = matvec, with the residual contract.
 
     The iterate stays normalized to max entry 1, so the reported residual is
-    exactly ||Mx - lambda*x||_inf for the returned vector.  With `weights`,
-    entry i stands for weights[i] vertices of equal value, and lambda is
-    the Rayleigh quotient of that expanded vector.
+    exactly ||Mx - lambda*x||_inf for the returned vector.  Entry i stands
+    for weights[i] vertices of equal value, and lambda is the Rayleigh
+    quotient of that expanded vector.
     """
+    n = len(weights)
     x = np.ones(n)
     lam = 0.0
     resid = np.inf
     for it in range(1, max_iters + 1):
         y = matvec(x)
-        if diag is not None:
-            y = y + diag * x
-        wx = x if weights is None else weights * x
+        wx = weights * x
         lam = float(wx @ y) / float(wx @ x)
         resid = float(np.max(np.abs(y - lam * x)))
         if resid <= tol:
@@ -212,7 +209,7 @@ def _spectrum(g: AnyGraph, tol: float, max_iters: int, signless: bool) -> Spectr
     """Largest eigenvalue of A (or of D + A when `signless`), per connected
     component; the vector is supported on the achieving component (first
     component wins ties), zeros elsewhere."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
@@ -227,13 +224,11 @@ def _spectrum(g: AnyGraph, tol: float, max_iters: int, signless: bool) -> Spectr
             degrees = piece.matvec(np.ones(piece.size))
             if signless:
                 # D + A is positive semidefinite; plain iteration, no shift
-                diag, shift = degrees, 0.0
+                matvec, shift = (lambda x: piece.matvec(x) + degrees * x), 0.0
             else:
-                diag, shift = None, max(1.0, float(degrees.max()) / 2)
+                matvec, shift = piece.matvec, max(1.0, float(degrees.max()) / 2)
             try:
-                lam, vec, resid, its = _power(
-                    piece.matvec, piece.size, tol, max_iters, diag, shift, piece.weights
-                )
+                lam, vec, resid, its = _power(matvec, piece.weights, tol, max_iters, shift)
             except ConvergenceError as exc:
                 exc.result.vector = piece.expand(exc.result.vector)
                 raise
@@ -256,17 +251,11 @@ def spectral_radius(
     return _spectrum(g, tol, max_iters, signless=False)
 
 
-def signless_laplacian_radius(
-    g: AnyGraph, tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS
-) -> float:
-    """Largest eigenvalue of D + A (degree diagonal plus adjacency)."""
-    return signless_laplacian_spectrum(g, tol, max_iters).lam
-
-
 def signless_laplacian_spectrum(
     g: AnyGraph, tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS
 ) -> SpectrumResult:
-    """Full result (eigenvector, residual, iterations) for D + A."""
+    """Largest eigenvalue of D + A (degree diagonal plus adjacency), with
+    its eigenvector (max entry 1), residual and iterations."""
     return _spectrum(g, tol, max_iters, signless=True)
 
 
@@ -291,7 +280,7 @@ def multipartite_spectral_radius(
 
     A single part means the empty graph; 0 is returned for that degenerate
     case."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     ps = partition_sizes_of(sizes)
     if ps.num_parts == 1:

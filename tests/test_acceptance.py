@@ -13,7 +13,6 @@ from itertools import permutations
 
 from fanspec import (
     brute_force_extremal,
-    brute_force_f,
     brute_force_f_report,
     canonical_form,
     check_partition_inequality,
@@ -58,7 +57,7 @@ def test_criterion_02_oracle_vs_formula_f():
     ok = True
     for beta in (1, 2, 3):
         for delta in (1, 2, 3):
-            got = brute_force_f(beta, delta, 9, jobs=4)
+            got = brute_force_f_report(beta, delta, 9, jobs=4).value
             want = chvatal_hanson_f(beta, delta)
             if got != want:
                 ok = False

@@ -261,6 +261,8 @@ class TestHelpAndErrors:
             ["brutef", "--beta", "1", "--delta", "1", "--nmax", "-3"],
             ["lambda", "--construct", "turan:5,2", "--max-iters", "0"],
             ["qlambda", "--construct", "extremal:100,2,3", "--max-iters", "0"],
+            ["lambda", "--construct", "turan:5,2", "--tol", "nan"],
+            ["brute", "--n", "4", "--k", "1", "--r", "3", "--mode", "lambda", "--tol", "nan"],
             ["family", "--n", "21", "--k", "2", "--r", "3", "--imbalance", "0"],
             ["family", "--n", "21", "--k", "2", "--r", "3", "--imbalance", "-1"],
             ["family", "--n", "1", "--k", "2", "--r", "3"],

@@ -1,5 +1,8 @@
 """Constructors for the named graph families."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from fanspec import (
@@ -21,7 +24,7 @@ from fanspec import (
     turan_graph,
     turan_number_t,
 )
-from fanspec.families import PartitionSizes, balanced_sizes, partition_sizes_of
+from fanspec.families import PartitionSizes, balanced_sizes, embed_in_part, partition_sizes_of
 
 
 def iso(a, b):
@@ -67,6 +70,27 @@ class TestCompleteMultipartite:
         for u in range(5):
             for v in range(u + 1, 5):
                 assert g.has_edge(u, v) == (part_of[u] != part_of[v])
+
+
+class TestEmbedInPart:
+    def test_dense_matches_structured(self):
+        # the dense builder against StructuredGraph.to_graph, the reference
+        # densification, on random part sizes (empty parts included) and
+        # random patches in a random host part
+        rng = random.Random(8)
+        checked = 0
+        while checked < 200:
+            sizes = [rng.choice((0, 1, rng.randint(2, 16))) for _ in range(rng.randint(2, 5))]
+            if sum(1 for s in sizes if s) < 2 or sum(sizes) > 64:
+                continue
+            host = rng.randrange(len(sizes))
+            edges = [e for e in combinations(range(sizes[host]), 2) if rng.random() < 0.3]
+            dense = embed_in_part(sizes, host, edges)
+            off = sum(sizes[:host])
+            sg = StructuredGraph(sizes, [(off + a, off + b) for a, b in edges])
+            assert isinstance(dense, Graph)
+            assert dense == sg.to_graph(), (sizes, host, edges)
+            checked += 1
 
 
 class TestTuranGraph:
@@ -160,7 +184,7 @@ class TestExtremalFanGraph:
     def test_edge_count_at_200(self):
         g, _ = extremal_fan_graph(200, (2, 3))
         assert isinstance(g, StructuredGraph)
-        assert g.edge_count() == 10001
+        assert g.edge_count == 10001
 
     def test_k1_is_turan(self):
         for n in (7, 12, 20):
@@ -214,7 +238,7 @@ class TestSplitGraph:
     def test_structured_large(self):
         sg = split_graph(100, 3)
         assert isinstance(sg, StructuredGraph)
-        assert sg.edge_count() == 3 + 3 * 97
+        assert sg.edge_count == 3 + 3 * 97
 
     def test_k_bounds(self):
         with pytest.raises(ValueError):

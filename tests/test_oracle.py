@@ -10,7 +10,6 @@ from fanspec import (
     EnumerationCapError,
     Graph,
     brute_force_extremal,
-    brute_force_f,
     brute_force_f_report,
     canonical_form,
     chvatal_hanson_f,
@@ -224,14 +223,14 @@ class TestBruteForceExtremal:
 
 class TestBruteForceF:
     def test_examples(self):
-        assert brute_force_f(1, 1, 4) == 1
-        assert brute_force_f(2, 2, 6) == 6
-        assert brute_force_f(0, 3, 5) == 0
+        assert brute_force_f_report(1, 1, 4).value == 1
+        assert brute_force_f_report(2, 2, 6).value == 6
+        assert brute_force_f_report(0, 3, 5).value == 0
 
     def test_matches_formula_small(self):
         for beta in (1, 2):
             for delta in (1, 2):
-                assert brute_force_f(beta, delta, 7) == chvatal_hanson_f(beta, delta)
+                assert brute_force_f_report(beta, delta, 7).value == chvatal_hanson_f(beta, delta)
 
     def test_jobs_do_not_change_report(self):
         for n_max in (0, 1, 2, 8):
@@ -244,7 +243,7 @@ class TestBruteForceF:
 
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
-            brute_force_f(2, 2, 11)
+            brute_force_f_report(2, 2, 11)
 
 
 class TestG0Candidates:

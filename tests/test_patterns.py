@@ -194,7 +194,8 @@ def structured_hosts():
     the structured path runs at sizes where embed_in_part would return a
     dense graph.  The host is the balanced (r-1)-partite graph with the
     f(h-1, h-1) maximizer in its first part (and, up to n = 30, its last
-    part) for h = k (fan-free) and h = k + 1 (contains the fan)."""
+    part) for h = k (fan-free) and h = k + 1 (contains the fan).  Then
+    random graphs with patch edges in several parts and an empty part."""
     for n in (12, 20, 30, 70, 90):
         for k, r in ((1, 3), (2, 3), (3, 3), (2, 4), (3, 4), (2, 5)):
             sizes = balanced_sizes(n, r - 1)
@@ -210,6 +211,23 @@ def structured_hosts():
                     off = sum(sizes[:host])
                     edges = [(off + a, off + b) for a, b in patch]
                     yield StructuredGraph(sizes, edges), (k, r)
+    # random patches in two or more parts, with an empty part among them
+    rng = random.Random(12)
+    for _ in range(48):
+        sizes = [rng.randint(2, 7) for _ in range(rng.randint(3, 5))]
+        sizes[rng.randrange(len(sizes))] = 0
+        offs = [sum(sizes[:i]) for i in range(len(sizes))]
+        nonempty = [i for i, s in enumerate(sizes) if s]
+        patched = rng.sample(nonempty, rng.randint(2, len(nonempty)))
+        edges = [
+            (offs[i] + a, offs[i] + b)
+            for i in patched
+            for a, b in combinations(range(sizes[i]), 2)
+            if rng.random() < 0.15
+        ]
+        sg = StructuredGraph(sizes, edges)
+        for spec in ((2, 3), (3, 3), (4, 3), (2, 4), (3, 4), (2, 5)):
+            yield sg, spec
 
 
 class TestStructuredFan:

@@ -22,12 +22,12 @@ from fanspec import (
     path_graph,
     perron_entry_bound_check,
     rayleigh_quotient,
-    signless_laplacian_radius,
+    signless_laplacian_spectrum,
     spectral_radius,
     split_graph,
     turan_graph,
 )
-from fanspec.spectral import _matvec, signless_laplacian_spectrum
+from fanspec.spectral import _matvec
 
 
 def random_graph(n, p, rng):
@@ -219,6 +219,10 @@ class TestSpectralRadius:
             for solve in (spectral_radius, signless_laplacian_spectrum):
                 with pytest.raises(ValueError):
                     solve(g, max_iters=0)
+                with pytest.raises(ValueError):
+                    solve(g, tol=float("nan"))
+        with pytest.raises(ValueError):
+            multipartite_spectral_radius([3, 3], tol=float("nan"))
 
 
 class TestRayleigh:
@@ -342,30 +346,30 @@ class TestCharpoly:
 class TestSignlessLaplacian:
     def test_complete_graphs(self):
         for n in range(2, 7):
-            assert signless_laplacian_radius(complete_graph(n)) == pytest.approx(
+            assert signless_laplacian_spectrum(complete_graph(n)).lam == pytest.approx(
                 2 * n - 2, abs=1e-9
             )
 
     def test_cycles(self):
         for n in (3, 4, 5, 6):
-            assert signless_laplacian_radius(cycle_graph(n)) == pytest.approx(4.0, abs=1e-9)
+            assert signless_laplacian_spectrum(cycle_graph(n)).lam == pytest.approx(4.0, abs=1e-9)
 
     def test_star(self):
         star = join(complete_graph(1), empty_graph(3))
-        assert signless_laplacian_radius(star) == pytest.approx(4.0, abs=1e-9)
+        assert signless_laplacian_spectrum(star).lam == pytest.approx(4.0, abs=1e-9)
 
     def test_structured_split_graph(self):
         sg = split_graph(100, 2)
         dense_small = split_graph(50, 2)
-        q100 = signless_laplacian_radius(sg)
-        q50 = signless_laplacian_radius(dense_small)
+        q100 = signless_laplacian_spectrum(sg).lam
+        q50 = signless_laplacian_spectrum(dense_small).lam
         assert q100 > q50  # grows with the independent set
         eig = np.linalg.eigvalsh(_q_matrix(sg.to_graph()))
         assert q100 == pytest.approx(float(eig[-1]), abs=1e-7)
 
     def test_disconnected(self):
         g = Graph(5, [(0, 1), (2, 3), (3, 4), (2, 4)])
-        assert signless_laplacian_radius(g) == pytest.approx(4.0, abs=1e-9)
+        assert signless_laplacian_spectrum(g).lam == pytest.approx(4.0, abs=1e-9)
 
 
 def _q_matrix(g):

@@ -48,6 +48,11 @@ def _mask_image(mask: int, perm: Sequence[int]) -> int:
     return out
 
 
+def _edge_count(rows: Sequence[int]) -> int:
+    """Edge count of a graph given by its adjacency bitmask rows."""
+    return sum(row.bit_count() for row in rows) // 2
+
+
 def _multipartite_rows(
     sizes: Sequence[int], patch: Iterable[tuple[int, int]]
 ) -> tuple[int, ...]:
@@ -130,7 +135,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.rows) // 2
+        return _edge_count(self.rows)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u, row in enumerate(self.rows):
@@ -368,7 +373,6 @@ class StructuredGraph:
     def part_range(self, i: int) -> range:
         return range(self._offsets[i], self._offsets[i] + self.sizes[i])
 
-    @property
     def edge_count(self) -> int:
         cross = (self.n * self.n - sum(s * s for s in self.sizes)) // 2
         return cross + len(self.patch)

@@ -34,7 +34,7 @@ from .canon import canonical_form  # noqa: F401
 from .canon import canonical_info, permuted_rows
 from .families import FanSpec, embed_in_part, fanspec_of
 from .formulas import FormulaResult, fan_extremal_number
-from .graphs import Graph, _mask_image, from_graph6, to_graph6
+from .graphs import Graph, StructuredGraph, _edge_count, _mask_image, from_graph6, to_graph6
 from .patterns import clique_packing_number, contains_fan, matching_number
 from .spectral import spectral_radius
 
@@ -366,7 +366,7 @@ def _scan_f_batch(args) -> dict:
     for rows in parent_batch:
         for crows in _children_of_parent_aug(rows, pred):
             examined += 1
-            best = max(best, Graph._from_rows_unchecked(crows).edge_count)
+            best = max(best, _edge_count(crows))
     return {"examined": examined, "best": best}
 
 
@@ -418,7 +418,7 @@ def brute_force_f_report(
     examined = 0
     for _, level in _levels(n_max - 1, pred):
         examined += len(level)
-        best = max(best, *(Graph._from_rows_unchecked(rows).edge_count for rows in level))
+        best = max(best, *map(_edge_count, level))
     if n_max >= 1:  # the empty graph is the one class with no parent
         tasks = [(batch, beta, delta) for batch in _chunks(level, BATCH_PARENTS)]
         for partial in _map_batches(_scan_f_batch, tasks, jobs):
@@ -501,7 +501,7 @@ def _scan_family_batch(args) -> list[dict]:
             "g0": g0_g6,
             "host": host,
             "free": witness is None,
-            "edges": member.edge_count,
+            "edges": member.edge_count() if isinstance(member, StructuredGraph) else member.edge_count,
         }
         if witness is None:
             rec["lam"] = spectral_radius(member, tol=tol).lam
@@ -573,6 +573,7 @@ def family_search(
         # construction labeling is already deterministic; canonicalizing a
         # near-multipartite host would fight its huge automorphism group
         g = embed_in_part(best["sizes"], best["host"], from_graph6(best["g0"]).edges())
+        assert isinstance(g, Graph)
         witnesses = (to_graph6(g),)
     winner = {
         "part_sizes": list(best["sizes"]),

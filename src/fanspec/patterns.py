@@ -255,18 +255,23 @@ def _twin_reduction(sg: StructuredGraph, k: int) -> tuple[Graph, list[int], list
     order (-degree, label) is always kept, and the scan meets the same
     first center as on the dense graph.
     """
-    touched = {v for e in sg.patch for v in e}
-    labels: list[int] = []
-    counts = []
-    for i in range(len(sg.sizes)):
-        part = sg.part_range(i)
-        untouched = islice((v for v in part if v not in touched), k)
-        kept = sorted([v for v in touched if v in part] + list(untouched))
-        labels.extend(kept)
-        counts.append(len(kept))
+    cells = sg.twin_cells()
+    npatch = len(cells.patch_vertices)
+    kept: list[list[int]] = [[] for _ in sg.sizes]
+    for v, i in zip(cells.patch_vertices, cells.parts[len(cells.parts) - npatch :]):
+        kept[i].append(v)
+    touched = set(cells.patch_vertices)
+    for i, part in enumerate(kept):
+        part.extend(islice((v for v in sg.part_range(i) if v not in touched), k))
+        part.sort()
+    labels = [v for part in kept for v in part]
     index = {v: j for j, v in enumerate(labels)}
-    rows = _multipartite_rows(counts, [(index[a], index[b]) for a, b in sg.patch])
-    degs = [sg.degree(v) for v in labels]
+    patch = [(index[a], index[b]) for a, b in sg.patch]
+    degs = [sg.n - size for part, size in zip(kept, sg.sizes) for _ in part]
+    for a, b in patch:
+        degs[a] += 1
+        degs[b] += 1
+    rows = _multipartite_rows([len(part) for part in kept], patch)
     return Graph._from_rows_unchecked(rows), labels, degs
 
 

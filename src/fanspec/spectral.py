@@ -37,6 +37,7 @@ by iterate distance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -209,8 +210,8 @@ def _spectrum(g: AnyGraph, tol: float, max_iters: int, signless: bool) -> Spectr
     """Largest eigenvalue of A (or of D + A when `signless`), per connected
     component; the vector is supported on the achieving component (first
     component wins ties), zeros elsewhere."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     if g.n == 0:
@@ -280,8 +281,8 @@ def multipartite_spectral_radius(
 
     A single part means the empty graph; 0 is returned for that degenerate
     case."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     ps = partition_sizes_of(sizes)
     if ps.num_parts == 1:
         return 0.0

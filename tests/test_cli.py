@@ -263,6 +263,8 @@ class TestHelpAndErrors:
             ["qlambda", "--construct", "extremal:100,2,3", "--max-iters", "0"],
             ["lambda", "--construct", "turan:5,2", "--tol", "nan"],
             ["brute", "--n", "4", "--k", "1", "--r", "3", "--mode", "lambda", "--tol", "nan"],
+            ["lambda", "--construct", "ch:4", "--tol", "inf"],
+            ["brute", "--n", "4", "--k", "1", "--r", "3", "--mode", "lambda", "--tol", "inf"],
             ["family", "--n", "21", "--k", "2", "--r", "3", "--imbalance", "0"],
             ["family", "--n", "21", "--k", "2", "--r", "3", "--imbalance", "-1"],
             ["family", "--n", "1", "--k", "2", "--r", "3"],

@@ -184,7 +184,7 @@ class TestExtremalFanGraph:
     def test_edge_count_at_200(self):
         g, _ = extremal_fan_graph(200, (2, 3))
         assert isinstance(g, StructuredGraph)
-        assert g.edge_count == 10001
+        assert g.edge_count() == 10001
 
     def test_k1_is_turan(self):
         for n in (7, 12, 20):
@@ -238,7 +238,7 @@ class TestSplitGraph:
     def test_structured_large(self):
         sg = split_graph(100, 3)
         assert isinstance(sg, StructuredGraph)
-        assert sg.edge_count == 3 + 3 * 97
+        assert sg.edge_count() == 3 + 3 * 97
 
     def test_k_bounds(self):
         with pytest.raises(ValueError):

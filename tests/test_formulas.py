@@ -82,4 +82,5 @@ class TestFanExtremalNumber:
                         g, _ = extremal_fan_graph(n, (k, r))
                     except ValueError:
                         continue
-                    assert g.edge_count == fan_extremal_number(n, (k, r)).value, (n, k, r)
+                    e = g.edge_count() if hasattr(g, "sizes") else g.edge_count
+                    assert e == fan_extremal_number(n, (k, r)).value, (n, k, r)

@@ -177,11 +177,11 @@ class TestStructuredGraph:
     def test_layout_and_adjacency(self):
         sg = StructuredGraph((3, 2), [(0, 1)])
         assert sg.n == 5
-        assert sg.edge_count == 3 * 2 + 1
+        assert sg.edge_count() == 3 * 2 + 1
         assert sg.has_edge(0, 3) and sg.has_edge(0, 1)
         assert not sg.has_edge(1, 2)
         assert sg.degree(0) == 2 + 1
-        assert sg.to_graph().edge_count == sg.edge_count
+        assert sg.to_graph().edge_count == sg.edge_count()
 
     def test_patch_must_stay_inside_part(self):
         with pytest.raises(ValueError):

@@ -219,10 +219,12 @@ class TestSpectralRadius:
             for solve in (spectral_radius, signless_laplacian_spectrum):
                 with pytest.raises(ValueError):
                     solve(g, max_iters=0)
-                with pytest.raises(ValueError):
-                    solve(g, tol=float("nan"))
-        with pytest.raises(ValueError):
-            multipartite_spectral_radius([3, 3], tol=float("nan"))
+                for tol in (float("nan"), float("inf")):
+                    with pytest.raises(ValueError):
+                        solve(g, tol=tol)
+        for tol in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                multipartite_spectral_radius([3, 3], tol=tol)
 
 
 class TestRayleigh:

@@ -15,6 +15,10 @@ Two representations live here:
   this form; fan detection and the spectral solves run on its twin cells
   (``StructuredGraph.twin_cells``), whose number does not grow with n.
 
+Both types give ``twin_reduction(k)``, the dense graph induced on the first
+k members of each class of false twins, which is what fan detection
+searches.
+
 Vertices are always 0-indexed integers.  All operations are pure; instances
 are immutable and safe to share across workers.
 """
@@ -22,6 +26,7 @@ are immutable and safe to share across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 DENSE_KERNEL_LIMIT = 64
@@ -160,6 +165,30 @@ class Graph:
             rows[perm[u]] = new_row
         return Graph._from_rows_unchecked(tuple(rows))
 
+    def twin_reduction(self, k: int) -> tuple[Graph, Sequence[int], list[int]]:
+        """The induced subgraph on the first k members, in label order, of
+        each class of false twins (vertices with the same neighbourhood,
+        pairwise non-adjacent), relabeled in ascending order; returned with
+        each kept vertex's label and degree in this graph.  Twins are
+        interchangeable, so a subgraph with independence number at most k
+        embeds here exactly when it embeds in the reduction.
+
+        The classes are found in one pass, by grouping equal rows; vertices
+        with equal rows are non-adjacent, since no row holds its own
+        vertex.  When no class has more than k members, the reduction is
+        the graph itself, with labels ``range(n)``, and nothing is copied.
+        """
+        degs = self.degrees()
+        # a class of more than k members repeats its row at least k times
+        if len(set(self.rows)) + k <= self.n:
+            classes: dict[int, list[int]] = {}
+            for v, row in enumerate(self.rows):
+                classes.setdefault(row, []).append(v)
+            kept = sorted(v for c in classes.values() for v in c[:k])
+            if len(kept) < self.n:
+                return induced_subgraph(self, kept), kept, [degs[v] for v in kept]
+        return self, range(self.n), degs
+
     def components(self) -> list[int]:
         """Vertex masks of connected components, by lowest contained vertex."""
         seen = 0
@@ -227,12 +256,17 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     if vs and not (0 <= vs[0] and vs[-1] < g.n):
         raise ValueError("vertex out of range")
     index = {v: i for i, v in enumerate(vs)}
+    keep = 0
+    for v in vs:
+        keep |= 1 << v
     rows = []
     for v in vs:
         row = 0
-        for w in _mask_bits(g.rows[v]):
-            if w in index:
-                row |= 1 << index[w]
+        rest = g.rows[v] & keep
+        while rest:
+            low = rest & -rest
+            row |= 1 << index[low.bit_length() - 1]
+            rest ^= low
         rows.append(row)
     return Graph._from_rows_unchecked(tuple(rows))
 
@@ -327,11 +361,13 @@ class StructuredGraph:
 
     The vertices of a part that no patch edge meets are false twins, so
     the graph has at most #parts + #patch vertices twin cells
-    (``twin_cells``).  ``patterns.contains_fan`` searches a dense graph
-    with at most k vertices of each cell, and ``spectral`` iterates on the
-    cell values and expands the vector to n entries once; neither
-    densifies.  ``to_graph`` and ``degrees`` are O(n^2 / 64) and O(n)
-    conveniences that no solver calls.
+    (``twin_cells``).  ``twin_reduction`` reads its classes off them, as
+    a dense ``Graph`` reads its own off equal rows, so
+    ``patterns.contains_fan`` searches a dense graph with at most k
+    vertices of each cell; ``spectral`` iterates on the cell values and
+    expands the vector to n entries once.  Neither densifies.
+    ``to_graph`` and ``degrees`` are O(n^2 / 64) and O(n) conveniences
+    that no solver calls.
     """
 
     __slots__ = ("sizes", "patch", "n", "_offsets")
@@ -402,6 +438,31 @@ class StructuredGraph:
             parts=nonempty + patch_parts,
             patch_vertices=patch_vertices,
         )
+
+    def twin_reduction(self, k: int) -> tuple[Graph, list[int], list[int]]:
+        """As ``Graph.twin_reduction``, with the classes read off
+        ``twin_cells``: the dense graph induced on the patch vertices plus
+        the first min(rest, k) untouched vertices of each part, at most
+        #patch + k * #parts vertices whatever n is, found with no pass over
+        the n vertices."""
+        cells = self.twin_cells()
+        npatch = len(cells.patch_vertices)
+        kept: list[list[int]] = [[] for _ in self.sizes]
+        for v, i in zip(cells.patch_vertices, cells.parts[len(cells.parts) - npatch :]):
+            kept[i].append(v)
+        touched = set(cells.patch_vertices)
+        for i, part in enumerate(kept):
+            part.extend(islice((v for v in self.part_range(i) if v not in touched), k))
+            part.sort()
+        labels = [v for part in kept for v in part]
+        index = {v: j for j, v in enumerate(labels)}
+        patch = [(index[a], index[b]) for a, b in self.patch]
+        degs = [self.n - size for part, size in zip(kept, self.sizes) for _ in part]
+        for a, b in patch:
+            degs[a] += 1
+            degs[b] += 1
+        rows = _multipartite_rows([len(part) for part in kept], patch)
+        return Graph._from_rows_unchecked(rows), labels, degs
 
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:

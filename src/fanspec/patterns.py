@@ -8,16 +8,15 @@ a neighborhood, and maximum matching is the s=2 case of the same engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from typing import Sequence
 
 from .families import FanSpec, fanspec_of
 from .formulas import chvatal_hanson_f
 from .graphs import (
+    AnyGraph,
     Graph,
-    StructuredGraph,
     VertexPartition,
     _mask_bits,
-    _multipartite_rows,
     induced_subgraph_mask,
 )
 
@@ -219,63 +218,36 @@ class FanWitness:
                         raise ValueError(f"missing edge ({u},{w}) in witness")
 
 
-def contains_fan(
-    g: Graph | StructuredGraph, spec: FanSpec | tuple[int, int]
-) -> FanWitness | None:
+def contains_fan(g: AnyGraph, spec: FanSpec | tuple[int, int]) -> FanWitness | None:
     """Witness for k cliques of order r meeting in one vertex, or None.
 
-    Candidate centers are scanned in decreasing degree order (only vertices
-    of degree >= k(r-1) can host the intersection); each center is tested by
-    packing (r-1)-cliques inside its neighborhood with early exit at k.
+    The search runs on the graph's twin reduction, ``g.twin_reduction(k)``,
+    which keeps the first k members of each class of false twins.  A fan
+    has independence number k, so each of its k cliques takes at most one
+    member of a class, and a fan with a given center exists in ``g``
+    exactly when it exists in the reduction.  The graph type only decides
+    how the classes are found: a dense ``Graph`` groups equal rows, and a
+    ``StructuredGraph`` reads them off its twin cells.  A dense graph in
+    which no class has more than k members is searched as it is.
 
-    A ``StructuredGraph`` is searched on its twin reduction (see
-    ``_twin_reduction``), a dense graph of at most #patch + k * #parts
-    vertices, and the witness is mapped back to its labels.
+    Candidate centers are scanned in decreasing order of their degree in
+    ``g`` (only vertices of degree >= k(r-1) can host the intersection),
+    ties by label; each center is tested by packing (r-1)-cliques inside
+    its neighborhood with early exit at k.  Twins have equal degrees, so
+    the first twin in that order is always kept and the scan meets the
+    same first center as on ``g``.  The witness is mapped back to the
+    labels of ``g``.
     """
     spec = fanspec_of(spec)
-    if not isinstance(g, StructuredGraph):
-        return _scan_centers(g, g.degrees(), spec.k, spec.r)
-    small, labels, degs = _twin_reduction(g, spec.k)
+    small, labels, degs = g.twin_reduction(spec.k)
     w = _scan_centers(small, degs, spec.k, spec.r)
-    if w is None:
-        return None
+    if w is None or small is g:
+        return w
     cliques = tuple(frozenset(labels[u] for u in c) for c in w.cliques)
     return FanWitness(labels[w.center], cliques)
 
 
-def _twin_reduction(sg: StructuredGraph, k: int) -> tuple[Graph, list[int], list[int]]:
-    """Dense induced subgraph on the patch vertices plus the first
-    min(rest, k) untouched vertices of each part, relabeled in ascending
-    order; returned with each vertex's label and degree in `sg`.
-
-    Untouched vertices of a part are false twins and independent, and a
-    fan's independence number is k, so each of its k cliques takes at most
-    one of them: a fan with a given center exists in `sg` exactly when it
-    does here.  Twins have equal degrees, so the first twin in the scan
-    order (-degree, label) is always kept, and the scan meets the same
-    first center as on the dense graph.
-    """
-    cells = sg.twin_cells()
-    npatch = len(cells.patch_vertices)
-    kept: list[list[int]] = [[] for _ in sg.sizes]
-    for v, i in zip(cells.patch_vertices, cells.parts[len(cells.parts) - npatch :]):
-        kept[i].append(v)
-    touched = set(cells.patch_vertices)
-    for i, part in enumerate(kept):
-        part.extend(islice((v for v in sg.part_range(i) if v not in touched), k))
-        part.sort()
-    labels = [v for part in kept for v in part]
-    index = {v: j for j, v in enumerate(labels)}
-    patch = [(index[a], index[b]) for a, b in sg.patch]
-    degs = [sg.n - size for part, size in zip(kept, sg.sizes) for _ in part]
-    for a, b in patch:
-        degs[a] += 1
-        degs[b] += 1
-    rows = _multipartite_rows([len(part) for part in kept], patch)
-    return Graph._from_rows_unchecked(rows), labels, degs
-
-
-def _scan_centers(g: Graph, degs: list[int], k: int, r: int) -> FanWitness | None:
+def _scan_centers(g: Graph, degs: Sequence[int], k: int, r: int) -> FanWitness | None:
     """The center scan of ``contains_fan`` on a dense graph, ordered by
     (-degs[v], v); `degs` may exceed the degrees in `g` (the degrees in the
     graph `g` was reduced from)."""

@@ -299,6 +299,23 @@ class TestFamilySearch:
         assert rep.winner["part_sizes"] == [100, 100]
         assert rep.winner["edges"] == 10001
 
+    def test_reports_at_n64(self):
+        # members with at most 64 vertices are dense graphs; the dense
+        # search took 95 s for (3,4) here before it ran on twin classes
+        for spec, examined, sizes, g0, host, edges, lam in (
+            ((2, 4), 12, [22, 21, 21], "A_", 1, 1366, 42.6920573981),
+            ((3, 4), 84, [22, 21, 21], "EJaG", 1, 1371, 42.8570085244),
+        ):
+            rep = family_search(64, spec)
+            assert rep.graphs_examined == rep.free_count == examined
+            assert rep.winner == {
+                "part_sizes": sizes,
+                "g0_graph6": g0,
+                "host_part": host,
+                "edges": edges,
+                "lambda": pytest.approx(lam, abs=1e-10),
+            }
+
     def test_jobs_match(self):
         a = family_search(30, (2, 3), jobs=1).to_json(timing=False)
         b = family_search(30, (2, 3), jobs=2).to_json(timing=False)

@@ -25,6 +25,7 @@ from fanspec import (
 )
 from fanspec.families import _g0_patch, balanced_sizes
 from fanspec.graphs import consecutive_partition
+from fanspec.patterns import _scan_centers
 from fanspec.spectral import signless_laplacian_spectrum
 
 
@@ -232,13 +233,13 @@ def structured_hosts():
 
 class TestStructuredFan:
     def test_matches_dense_search(self):
-        # the twin reduction against the full dense search: same answer,
+        # the twin reduction against the unreduced dense scan: same answer,
         # same witness, and every witness valid on the full graph
         count = 0
         for sg, spec in structured_hosts():
             dense = sg.to_graph()
             w = contains_fan(sg, spec)
-            assert w == contains_fan(dense, spec), (sg, spec)
+            assert w == _scan_centers(dense, dense.degrees(), *spec), (sg, spec)
             if w is not None:
                 w.validate(dense)
                 count += 1
@@ -259,6 +260,85 @@ class TestStructuredFan:
             signless_laplacian_spectrum(g, tol=1e-10 * n)
         w = contains_fan(extremal_fan_graph(n, (4, 3))[0], (3, 3))
         assert w is not None and w.center == 0
+
+
+def twin_blowup(base, sizes, perm):
+    """Each vertex i of `base` replaced by sizes[i] pairwise non-adjacent
+    twins, relabeled by perm[old] = new."""
+    offs = [sum(sizes[:i]) for i in range(len(sizes))]
+    edges = [
+        (perm[offs[a] + i], perm[offs[b] + j])
+        for a, b in base.edges()
+        for i in range(sizes[a])
+        for j in range(sizes[b])
+    ]
+    return Graph(sum(sizes), edges)
+
+
+def random_blowup(rng, max_twins, max_n):
+    while True:
+        base = random_graph(rng.randint(3, 6), rng.uniform(0.4, 1.0), rng)
+        sizes = [rng.randint(1, max_twins) for _ in range(base.n)]
+        if sum(sizes) <= max_n:
+            break
+    perm = list(range(sum(sizes)))
+    if rng.random() < 0.5:
+        rng.shuffle(perm)
+    return twin_blowup(base, sizes, perm)
+
+
+class TestDenseTwinReduction:
+    def test_matches_unreduced_scan(self):
+        # blow-ups have twin classes of up to k + 3 members, so most are
+        # searched on a proper reduction; the unreduced scan is the oracle
+        rng = random.Random(36)
+        reduced = found = 0
+        for k, r in ((1, 3), (2, 3), (3, 3), (2, 4), (2, 5)):
+            for _ in range(100):
+                g = random_blowup(rng, k + 3, 40)
+                reduced += g.twin_reduction(k)[0].n < g.n
+                w = contains_fan(g, (k, r))
+                assert w == _scan_centers(g, g.degrees(), k, r), (g.rows, k, r)
+                if w is not None:
+                    w.validate(g)
+                    found += 1
+        assert reduced > 450 and 150 < found < 350
+
+    def test_no_copy_without_large_class(self):
+        g, _ = complete_multipartite([2, 2, 1])
+        small, labels, degs = g.twin_reduction(2)
+        assert small is g and labels == range(5) and degs == g.degrees()
+        assert g.twin_reduction(1)[0].n == 3
+
+    def test_reduction_keeps_first_k_of_each_class(self):
+        g, _ = complete_multipartite([4, 3, 1])
+        small, labels, degs = g.twin_reduction(2)
+        assert labels == [0, 1, 4, 5, 7] and degs == [4, 4, 5, 5, 7]
+        assert small == complete_multipartite([2, 2, 1])[0]
+
+    def test_agrees_with_naive_embedding(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=400, deadline=None, database=None)
+        @hypothesis.given(
+            data=st.data(),
+            spec=st.sampled_from([(1, 2), (3, 2), (1, 3), (2, 3), (1, 4)]),
+        )
+        def agrees(data, spec):
+            # a blow-up on at most 8 vertices of a graph on 3-6 vertices
+            m = data.draw(st.integers(3, 6))
+            sizes = data.draw(
+                st.lists(st.integers(1, spec[0] + 3), min_size=m, max_size=m).filter(
+                    lambda s: sum(s) <= 8
+                )
+            )
+            edges = [e for e in combinations(range(m), 2) if data.draw(st.booleans())]
+            perm = data.draw(st.permutations(range(sum(sizes))))
+            g = twin_blowup(Graph(m, edges), sizes, perm)
+            assert (contains_fan(g, spec) is not None) == naive_contains(g, *spec)
+
+        agrees()
 
 
 def brute_max_cut(g, p):

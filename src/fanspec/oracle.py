@@ -4,13 +4,25 @@ Graphs on n vertices are generated one representative per isomorphism
 class by canonical augmentation (McKay 1998), at every level: extend each
 parent by one vertex over orbit representatives of neighborhood subsets,
 and accept a child exactly when the new vertex is automorphism-equivalent
-to the canonical deletion vertex.  The acceptance test is local to a
-parent, so no global seen set is needed and the last level splits into
-independent parent batches for the worker pool.
+to the canonical deletion vertex.  That vertex is the one with the largest
+canonical label among the vertices whose invariant (degree, sum of
+neighbour degrees) is largest, as in geng (McKay 1998; McKay & Piperno
+2014).  A child whose new vertex does not have the largest invariant is
+rejected from the parent's degrees and the mask alone, before it is built
+or labeled; only the rest are labeled.  The rule stays exactly-once
+because the invariant and the canonical labels are both
+isomorphism-equivariant, so the deletion vertex is fixed up to
+automorphism by the child's class alone.  The acceptance test is local to
+a parent, so no global seen set is needed and the last level splits into
+independent parent batches for the worker pool.  Accepted children are
+stored as canonical rows, so each level is the sorted list of its classes'
+canonical forms whichever parent emitted them.
 
 Enumeration accepts an optional hereditary predicate (closed under vertex
 deletion, e.g. bounded degree + bounded matching); restricted to such a
-class it remains exactly-once.  That restriction is what makes the
+class it remains exactly-once: every member's deletion parent is again a
+member.  The invariant filter runs before the predicate, so the predicate
+sees fewer children.  That restriction is what makes the
 bounded-degree/bounded-matching edge maximum searchable at nine vertices.
 
 Everything is deterministic: reports are identical regardless of worker
@@ -34,7 +46,15 @@ from .canon import canonical_form  # noqa: F401
 from .canon import canonical_info, permuted_rows
 from .families import FanSpec, embed_in_part, fanspec_of
 from .formulas import FormulaResult, fan_extremal_number
-from .graphs import Graph, StructuredGraph, _edge_count, _mask_image, from_graph6, to_graph6
+from .graphs import (
+    Graph,
+    StructuredGraph,
+    _edge_count,
+    _mask_bits,
+    _mask_image,
+    from_graph6,
+    to_graph6,
+)
 from .patterns import clique_packing_number, contains_fan, matching_number
 from .spectral import spectral_radius
 
@@ -46,16 +66,17 @@ class EnumerationCapError(ValueError):
     """Requested order exceeds the enumeration cap (override to raise it)."""
 
 
-def _mask_orbit_reps(n: int, gens: Sequence[tuple[int, ...]]) -> list[int]:
+def _mask_orbit_reps(n: int, gens: Sequence[tuple[int, ...]], min_size: int) -> list[int]:
     """One representative (minimum) per orbit of the generated group acting
-    on subsets of [n]."""
+    on the subsets of [n] with at least min_size members (a permutation
+    keeps a subset's size, so these are whole orbits)."""
     total = 1 << n
     if not gens:
-        return list(range(total))
+        return [m for m in range(total) if m.bit_count() >= min_size]
     seen = bytearray(total)
     reps = []
     for m in range(total):
-        if seen[m]:
+        if seen[m] or m.bit_count() < min_size:
             continue
         reps.append(m)
         stack = [m]
@@ -73,18 +94,50 @@ def _mask_orbit_reps(n: int, gens: Sequence[tuple[int, ...]]) -> list[int]:
 Pred = Callable[[Graph], bool]
 
 
+def _new_vertex_ties(
+    rows: tuple[int, ...], deg: list[int], nbr_sum: list[int], mask: int
+) -> list[int] | None:
+    """The vertices of the child parent + mask whose invariant (degree, sum
+    of neighbour degrees) equals that of the new vertex n, n first; None
+    when some vertex's invariant is larger.  Read off the parent's degrees
+    and neighbour sums and the mask, without building the child."""
+    n = len(rows)
+    k = mask.bit_count()
+    new_sum = k + sum(deg[w] for w in _mask_bits(mask))
+    ties = [n]
+    for u in range(n):
+        joined = mask >> u & 1
+        du = deg[u] + joined
+        if du < k:
+            continue
+        if du > k:
+            return None
+        su = nbr_sum[u] + (rows[u] & mask).bit_count() + k * joined
+        if su > new_sum:
+            return None
+        if su == new_sum:
+            ties.append(u)
+    return ties
+
+
 def _children_of_parent_aug(rows: tuple[int, ...], pred: Pred | None) -> list[tuple[int, ...]]:
     parent = Graph._from_rows_unchecked(rows)
     info = canonical_info(parent)
+    n = parent.n
+    deg = parent.degrees()
+    nbr_sum = [sum(deg[w] for w in _mask_bits(row)) for row in rows]
     out = []
-    nc = parent.n + 1
-    for mask in _mask_orbit_reps(parent.n, info.aut_generators):
+    # a smaller neighbourhood leaves the new vertex below a vertex of top degree
+    for mask in _mask_orbit_reps(n, info.aut_generators, max(deg, default=0)):
+        ties = _new_vertex_ties(rows, deg, nbr_sum, mask)
+        if ties is None:
+            continue
         child = parent.add_vertex(mask)
         if pred is not None and not pred(child):
             continue
         cinfo = canonical_info(child)
-        deletion_vertex = cinfo.perm.index(nc - 1)
-        if cinfo.orbits[deletion_vertex] == cinfo.orbits[nc - 1]:
+        deletion_vertex = max(ties, key=cinfo.perm.__getitem__)
+        if cinfo.orbits[deletion_vertex] == cinfo.orbits[n]:
             out.append(permuted_rows(child.rows, cinfo.perm))
     return out
 
@@ -284,6 +337,9 @@ def brute_force_extremal(
         "mode": mode,
         "tol": tol if mode == "lambda" else None,
         "batch_parents": BATCH_PARENTS,
+        # the acceptance rule decides which parent batch emits each class,
+        # so a batch cursor means nothing under another rule
+        "deletion_vertex": "max-invariant",
     }
     if resume and checkpoint_path and os.path.exists(checkpoint_path):
         with open(checkpoint_path) as fh:

@@ -3,6 +3,8 @@
 import random
 from itertools import combinations, permutations
 
+import pytest
+
 from fanspec import Graph, canonical_form, complete_graph, cycle_graph, empty_graph, path_graph
 from fanspec.canon import canonical_info
 
@@ -107,3 +109,24 @@ def test_symmetric_graphs_fast_and_correct():
 def test_empty_and_singleton():
     assert canonical_form(Graph(0)).n == 0
     assert canonical_form(Graph(1)).n == 1
+
+
+def test_graph_atlas_classes():
+    # networkx's atlas lists every graph on at most 7 vertices once per
+    # isomorphism class: an independent list to check labeling and the
+    # enumerator against, past the n = 6 of the brute-force checks above
+    nx = pytest.importorskip("networkx")
+    from fanspec.oracle import _levels
+
+    forms_by_order: dict[int, set] = {}
+    atlas = nx.graph_atlas_g()
+    assert len(atlas) == 1253
+    for h in atlas:
+        g = Graph(h.number_of_nodes(), list(h.edges()))
+        forms = forms_by_order.setdefault(g.n, set())
+        form = canonical_form(g).rows
+        assert form not in forms, nx.to_graph6_bytes(h)
+        forms.add(form)
+    assert [len(forms_by_order[n]) for n in range(8)] == [1, 1, 2, 4, 11, 34, 156, 1044]
+    for size, level in _levels(7):
+        assert level == sorted(forms_by_order[size]), size

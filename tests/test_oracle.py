@@ -25,13 +25,40 @@ from fanspec import (
     turan_number_t,
     verify_main_theorem,
 )
-from fanspec.oracle import _bounded_pred, _levels, _part_size_vectors
+import fanspec.oracle as oracle
+from fanspec.canon import canonical_info, permuted_rows
+from fanspec.oracle import _bounded_pred, _levels, _mask_orbit_reps, _part_size_vectors
 
 
 def all_labeled_graphs(n):
     pairs = list(combinations(range(n), 2))
     for bits in range(1 << len(pairs)):
         yield Graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+
+
+def children_by_last_label(rows, pred):
+    """The plain acceptance rule, kept as a slow oracle: label every child
+    (no invariant filter) and take as deletion vertex the one whose
+    canonical label is n - 1."""
+    parent = Graph._from_rows_unchecked(rows)
+    n = parent.n
+    out = []
+    for mask in _mask_orbit_reps(n, canonical_info(parent).aut_generators, 0):
+        child = parent.add_vertex(mask)
+        if pred is not None and not pred(child):
+            continue
+        cinfo = canonical_info(child)
+        if cinfo.orbits[cinfo.perm.index(n)] == cinfo.orbits[n]:
+            out.append(permuted_rows(child.rows, cinfo.perm))
+    return out
+
+
+def levels_by_last_label(n_max, pred=None):
+    level = [()]
+    yield 0, level
+    for size in range(1, n_max + 1):
+        level = sorted(c for rows in level for c in children_by_last_label(rows, pred))
+        yield size, level
 
 
 class TestEnumeration:
@@ -75,6 +102,30 @@ class TestEnumeration:
                 canonical_form(g).rows for g in all_labeled_graphs(size) if pred(g)
             }
             assert level == sorted(forms), (size, beta, delta)
+
+    @pytest.mark.parametrize("bounds", [None, (1, 1), (2, 2), (3, 3)])
+    def test_invariant_filter_keeps_every_level(self, bounds):
+        # the invariant-filtered rule and the plain one pick different
+        # parents for a class, but must store the same canonical rows
+        pred = None if bounds is None else _bounded_pred(*bounds)
+        fast = list(_levels(7, pred))
+        slow = list(levels_by_last_label(7, pred))
+        assert fast == slow, bounds
+
+    def test_invariant_filter_labels_few_children(self, monkeypatch):
+        # a count, not a timing: it moves only if the filter is lost or
+        # changed.  Without the filter _levels(7) makes 5,968 labelings.
+        calls = [0]
+        real = oracle.canonical_info
+
+        def counting(g):
+            calls[0] += 1
+            return real(g)
+
+        monkeypatch.setattr(oracle, "canonical_info", counting)
+        for _ in _levels(7):
+            pass
+        assert calls[0] == 1516
 
 
 class TestBruteForceExtremal:
@@ -219,6 +270,19 @@ class TestBruteForceExtremal:
         )
         with pytest.raises(ValueError):
             brute_force_extremal(5, (1, 3), "edges", checkpoint_path=str(ckpt), resume=True)
+
+    def test_checkpoint_of_another_acceptance_rule_rejected(self, tmp_path):
+        # under the plain rule (deletion vertex labeled n - 1) other parent
+        # batches emit some classes, so its batch cursor cannot be resumed
+        ckpt = tmp_path / "state.json"
+        brute_force_extremal(
+            6, (1, 3), "edges", checkpoint_path=str(ckpt), checkpoint_every=1
+        )
+        state = json.loads(ckpt.read_text())
+        del state["deletion_vertex"]
+        ckpt.write_text(json.dumps(state))
+        with pytest.raises(ValueError):
+            brute_force_extremal(6, (1, 3), "edges", checkpoint_path=str(ckpt), resume=True)
 
 
 class TestBruteForceF:

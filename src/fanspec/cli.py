@@ -162,6 +162,8 @@ def _run_spectrum(g: AnyGraph, args):
 def _cmd_charpoly(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
     xf = float(args.x)
+    if not np.isfinite(xf):
+        raise ValueError(f"--x must be finite, not {args.x}")
     x: float | int = int(xf) if xf.is_integer() else xf
     value = multipartite_charpoly_eval(sizes, x)
     if args.raw:

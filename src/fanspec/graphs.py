@@ -12,12 +12,13 @@ Two representations live here:
   set of intra-part "patch" edges, with at least two nonempty parts (so it
   is connected).  Constructions on hundreds to millions of vertices
   (balanced multipartite hosts with a small graph embedded in one part) use
-  this form; fan detection and the spectral solves run on its twin cells
-  (``StructuredGraph.twin_cells``), whose number does not grow with n.
+  this form; its twin cells do not grow in number with n.
 
-Both types give ``twin_reduction(k)``, the dense graph induced on the first
-k members of each class of false twins, which is what fan detection
-searches.
+Both types describe their classes of false twins the same way, as
+``TwinCells``; the type only decides how the classes are found.  Fan
+detection searches ``TwinCells.reduction(k)``, the dense graph induced on
+the first k members of each class, and the spectral solves iterate on the
+cell values.
 
 Vertices are always 0-indexed integers.  All operations are pure; instances
 are immutable and safe to share across workers.
@@ -25,8 +26,8 @@ are immutable and safe to share across workers.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 DENSE_KERNEL_LIMIT = 64
@@ -165,29 +166,35 @@ class Graph:
             rows[perm[u]] = new_row
         return Graph._from_rows_unchecked(tuple(rows))
 
-    def twin_reduction(self, k: int) -> tuple[Graph, Sequence[int], list[int]]:
-        """The induced subgraph on the first k members, in label order, of
-        each class of false twins (vertices with the same neighbourhood,
-        pairwise non-adjacent), relabeled in ascending order; returned with
-        each kept vertex's label and degree in this graph.  Twins are
-        interchangeable, so a subgraph with independence number at most k
-        embeds here exactly when it embeds in the reduction.
+    def twin_cells(self) -> TwinCells:
+        """The classes of false twins (see ``TwinCells``), found in one pass
+        by grouping equal rows; vertices with equal rows are non-adjacent,
+        since no row holds its own vertex."""
+        classes: dict[int, list[int]] = {}
+        for v, row in enumerate(self.rows):
+            classes.setdefault(row, []).append(v)
+        cells = sorted(classes.values(), key=lambda c: (len(c), c[0]))
+        cell_of = [0] * self.n
+        for c, members in enumerate(cells):
+            for v in members:
+                cell_of[v] = c
+        starts = [v for v in range(self.n) if not v or cell_of[v] != cell_of[v - 1]]
+        return TwinCells(
+            rows=tuple(_mask_image(self.rows[c[0]], cell_of) for c in cells),
+            sizes=tuple(map(len, cells)),
+            runs=tuple(zip(starts, starts[1:] + [self.n], [cell_of[v] for v in starts])),
+        )
 
-        The classes are found in one pass, by grouping equal rows; vertices
-        with equal rows are non-adjacent, since no row holds its own
-        vertex.  When no class has more than k members, the reduction is
-        the graph itself, with labels ``range(n)``, and nothing is copied.
-        """
-        degs = self.degrees()
+    def twin_reduction(self, k: int) -> tuple[Graph, Sequence[int], list[int]]:
+        """``TwinCells.reduction(k)``, or, when no class of false twins has
+        more than k members, the graph itself with labels ``range(n)`` and
+        its degrees, with nothing copied."""
         # a class of more than k members repeats its row at least k times
         if len(set(self.rows)) + k <= self.n:
-            classes: dict[int, list[int]] = {}
-            for v, row in enumerate(self.rows):
-                classes.setdefault(row, []).append(v)
-            kept = sorted(v for c in classes.values() for v in c[:k])
-            if len(kept) < self.n:
-                return induced_subgraph(self, kept), kept, [degs[v] for v in kept]
-        return self, range(self.n), degs
+            cells = self.twin_cells()
+            if cells.sizes[-1] > k:
+                return cells.reduction(k)
+        return self, range(self.n), self.degrees()
 
     def components(self) -> list[int]:
         """Vertex masks of connected components, by lowest contained vertex."""
@@ -329,21 +336,49 @@ def consecutive_partition(sizes: Sequence[int]) -> VertexPartition:
 
 
 class TwinCells(NamedTuple):
-    """The twin cells of a ``StructuredGraph``: each patch vertex alone, and
-    the untouched rest of each part (the vertices no patch edge meets) as
-    one cell.  Vertices of one rest cell are pairwise non-adjacent with the
-    same neighbourhood, so the cells form an equitable partition.
+    """The classes of false twins of a graph: vertices with the same
+    neighbourhood, so pairwise non-adjacent.  They form an equitable
+    partition (Godsil & Royle, *Algebraic Graph Theory* 9.3): a vertex of
+    cell i has ``sizes[j]`` neighbours in cell j when bit j of ``rows[i]``
+    is set, and none otherwise.
 
-    Cells are ordered: first the nonempty rest cells by size, ties by part,
-    then one cell per patch vertex in ascending order (the last
-    ``len(patch_vertices)`` cells).  Ordering rest cells by size means
-    graphs that differ only in which of several equal parts holds the patch
-    list the same cell sizes in the same order.  ``sizes`` and ``parts`` give each
-    cell's vertex count and part."""
+    ``rows`` is the cell graph as bitmasks, ``sizes`` the cells' vertex
+    counts, and ``runs`` the (start, stop, cell) runs of consecutive
+    vertices, in vertex order.  Cells are ordered by size, ties by lowest
+    vertex, so graphs that differ only in which of several equal parts
+    holds a patch list the same cells in the same order.  The graph type
+    only decides how the cells are found (``Graph.twin_cells``,
+    ``StructuredGraph.twin_cells``)."""
 
+    rows: tuple[int, ...]
     sizes: tuple[int, ...]
-    parts: tuple[int, ...]
-    patch_vertices: tuple[int, ...]
+    runs: tuple[tuple[int, int, int], ...]
+
+    def reduction(self, k: int) -> tuple[Graph, list[int], list[int]]:
+        """The dense graph induced on the first k members of each cell,
+        relabeled in ascending order, with each kept vertex's label and
+        degree in the whole graph.  Twins are interchangeable, so a subgraph
+        with independence number at most k embeds in the graph exactly when
+        it embeds here."""
+        quota = [min(k, s) for s in self.sizes]
+        labels: list[int] = []
+        kept_cells: list[int] = []
+        members = [0] * len(self.sizes)
+        for start, stop, c in self.runs:
+            take = min(stop - start, quota[c])
+            quota[c] -= take
+            for v in range(start, start + take):
+                members[c] |= 1 << len(labels)
+                labels.append(v)
+                kept_cells.append(c)
+        cell_rows = [0] * len(self.rows)
+        cell_degrees = [0] * len(self.rows)
+        for c, row in enumerate(self.rows):
+            for d in _mask_bits(row):
+                cell_rows[c] |= members[d]
+                cell_degrees[c] += self.sizes[d]
+        rows = tuple(cell_rows[c] for c in kept_cells)
+        return Graph._from_rows_unchecked(rows), labels, [cell_degrees[c] for c in kept_cells]
 
 
 class StructuredGraph:
@@ -361,11 +396,9 @@ class StructuredGraph:
 
     The vertices of a part that no patch edge meets are false twins, so
     the graph has at most #parts + #patch vertices twin cells
-    (``twin_cells``).  ``twin_reduction`` reads its classes off them, as
-    a dense ``Graph`` reads its own off equal rows, so
-    ``patterns.contains_fan`` searches a dense graph with at most k
-    vertices of each cell; ``spectral`` iterates on the cell values and
-    expands the vector to n entries once.  Neither densifies.
+    (``twin_cells``), read off the parts and the patch rather than found
+    by grouping rows as a dense ``Graph`` does.  Fan detection and the
+    spectral solves read only the cells, so neither densifies.
     ``to_graph`` and ``degrees`` are O(n^2 / 64) and O(n) conveniences
     that no solver calls.
     """
@@ -401,10 +434,7 @@ class StructuredGraph:
     def part_of(self, v: int) -> int:
         if not 0 <= v < self.n:
             raise ValueError("vertex out of range")
-        for i in range(len(self.sizes) - 1, -1, -1):
-            if v >= self._offsets[i]:
-                return i
-        raise ValueError("vertex out of range")
+        return bisect_right(self._offsets, v) - 1
 
     def part_range(self, i: int) -> range:
         return range(self._offsets[i], self._offsets[i] + self.sizes[i])
@@ -425,44 +455,46 @@ class StructuredGraph:
         return out
 
     def twin_cells(self) -> TwinCells:
-        """The twin cells (see ``TwinCells``): at most #parts + #patch
-        vertices of them, found without a pass over the n vertices."""
-        patch_vertices = tuple(sorted({v for e in self.patch for v in e}))
-        patch_parts = tuple(self.part_of(v) for v in patch_vertices)
-        rest = list(self.sizes)
-        for i in patch_parts:
+        """The twin cells (see ``TwinCells``): each patch vertex alone, and
+        the untouched rest of each part (the vertices no patch edge meets)
+        as one cell.  At most #parts + #patch vertices of them, found with
+        no pass over the n vertices."""
+        touched = sorted({v for e in self.patch for v in e})
+        # size and lowest vertex of the untouched rest of each part
+        rest, low = list(self.sizes), list(self._offsets)
+        for v in touched:
+            i = self.part_of(v)
             rest[i] -= 1
-        nonempty = tuple(sorted((i for i, s in enumerate(rest) if s), key=rest.__getitem__))
+            low[i] += low[i] == v
+        # (size, lowest vertex, part, key): a patch vertex is keyed by
+        # itself, the rest of part i by ~i
+        cells = sorted(
+            [(1, v, self.part_of(v), v) for v in touched]
+            + [(s, low[i], i, ~i) for i, s in enumerate(rest) if s]
+        )
+        index = {key: c for c, (*_, key) in enumerate(cells)}
+        part_masks = [0] * len(self.sizes)
+        for c, (_, _, i, _) in enumerate(cells):
+            part_masks[i] |= 1 << c
+        full = (1 << len(cells)) - 1
+        rows = [full ^ part_masks[i] for _, _, i, _ in cells]
+        for a, b in self.patch:
+            rows[index[a]] |= 1 << index[b]
+            rows[index[b]] |= 1 << index[a]
+        cuts = sorted({self.n, *self._offsets, *touched, *(v + 1 for v in touched)})
         return TwinCells(
-            sizes=tuple(rest[i] for i in nonempty) + (1,) * len(patch_vertices),
-            parts=nonempty + patch_parts,
-            patch_vertices=patch_vertices,
+            rows=tuple(rows),
+            sizes=tuple(size for size, *_ in cells),
+            runs=tuple(
+                (a, b, index[a if a in index else ~self.part_of(a)])
+                for a, b in zip(cuts, cuts[1:])
+            ),
         )
 
     def twin_reduction(self, k: int) -> tuple[Graph, list[int], list[int]]:
-        """As ``Graph.twin_reduction``, with the classes read off
-        ``twin_cells``: the dense graph induced on the patch vertices plus
-        the first min(rest, k) untouched vertices of each part, at most
-        #patch + k * #parts vertices whatever n is, found with no pass over
-        the n vertices."""
-        cells = self.twin_cells()
-        npatch = len(cells.patch_vertices)
-        kept: list[list[int]] = [[] for _ in self.sizes]
-        for v, i in zip(cells.patch_vertices, cells.parts[len(cells.parts) - npatch :]):
-            kept[i].append(v)
-        touched = set(cells.patch_vertices)
-        for i, part in enumerate(kept):
-            part.extend(islice((v for v in self.part_range(i) if v not in touched), k))
-            part.sort()
-        labels = [v for part in kept for v in part]
-        index = {v: j for j, v in enumerate(labels)}
-        patch = [(index[a], index[b]) for a, b in self.patch]
-        degs = [self.n - size for part, size in zip(kept, self.sizes) for _ in part]
-        for a, b in patch:
-            degs[a] += 1
-            degs[b] += 1
-        rows = _multipartite_rows([len(part) for part in kept], patch)
-        return Graph._from_rows_unchecked(rows), labels, degs
+        """``TwinCells.reduction(k)`` of ``twin_cells``: at most #patch +
+        k * #parts vertices whatever n is."""
+        return self.twin_cells().reduction(k)
 
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:

@@ -317,6 +317,8 @@ def brute_force_extremal(
         raise ValueError("n must be at least 1")
     if n > cap:
         raise EnumerationCapError(f"n={n} exceeds the enumeration cap {cap}")
+    if resume and not checkpoint_path:
+        raise ValueError("resume needs a checkpoint path")
     t0 = time.monotonic()
 
     for _, parents in _levels(n - 1):
@@ -341,7 +343,7 @@ def brute_force_extremal(
         # so a batch cursor means nothing under another rule
         "deletion_vertex": "max-invariant",
     }
-    if resume and checkpoint_path and os.path.exists(checkpoint_path):
+    if resume and os.path.exists(checkpoint_path):
         with open(checkpoint_path) as fh:
             state = json.load(fh)
         if {k: state.get(k) for k in ckpt_key} != ckpt_key:

@@ -3,24 +3,23 @@ Rayleigh quotients, the multipartite eigenvalue equation and characteristic
 polynomial, and the signless Laplacian largest eigenvalue.
 
 One driver, ``_spectrum``, serves the adjacency and the signless Laplacian
-radius for both graph types.  Only ``_matvec`` (the operator x -> Ax) and
-``_pieces`` (the iteration spaces) tell a dense ``Graph`` from a
-``StructuredGraph``.  The degree vector is read off the operator as A*1, so
-no per-vertex degree pass runs.  Disconnected graphs are handled per
-component, taking the maximum (first component wins ties).
+radius for both graph types, on one path: the graph type only decides how
+its twin cells, the classes of false twins, are found (``twin_cells``).
+They form an equitable partition (Brouwer & Haemers, *Spectra of Graphs*
+2.3; Godsil & Royle, *Algebraic Graph Theory* 9.3), so ``_pieces`` iterates
+on the cell values of each component, with the quotient matrix
+A_sub * sizes: at most n cells for a dense ``Graph`` (n <= 64 in
+practice), at most #parts + #patch vertices for a ``StructuredGraph``
+whatever n is.  Cells are ordered by size, so graphs that differ only in
+which of several equal parts holds the patch get the same quotient and
+bit-identical results, and ties between them fall to the caller's explicit
+key, not to rounding.  Components are taken by lowest vertex, and the first
+one wins ties; an edgeless graph gives e_0.  The patch-free quotient is the
+equation sum_i n_i / (lambda + n_i) = 1 of ``multipartite_spectral_radius``.
 
-A ``StructuredGraph`` is connected by construction and is one piece, which
-iterates on its twin cells (each patch vertex alone, the untouched rest of
-each part as one cell; an equitable partition, Godsil & Royle, *Algebraic
-Graph Theory* 9.3).  The all-ones start is constant on the cells and the
-operator keeps it so, so the iteration on the cell values, with lambda the
-Rayleigh quotient weighted by cell sizes, is the vertex iteration step for
-step at O(#parts + #patch) per step; the vector is expanded to n entries
-once, at the end.  The patch-free case of this quotient is the equation
-sum_i n_i / (lambda + n_i) = 1 of ``multipartite_spectral_radius``.  What
-remains of the float64 floor: the cell sums are ~n-sized numbers, so at
-n ~ 10^6 (lambda ~ 5 * 10^5) the default tol of 1e-10 is 1-2 ulps of lambda
-and the residual can stall just above it (1.16e-10 on
+What remains of the float64 floor: the cell sums are ~n-sized numbers, so
+at n ~ 10^6 (lambda ~ 5 * 10^5) the default tol of 1e-10 is 1-2 ulps of
+lambda and the residual can stall just above it (1.16e-10 on
 ``extremal:1000000,3,3``); below about n = 4.5 * 10^5 it converges in
 ~23 steps.
 
@@ -39,12 +38,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .families import FanSpec, PartitionSizes, fanspec_of, partition_sizes_of
-from .graphs import AnyGraph, Graph, StructuredGraph, _mask_bits, induced_subgraph_mask
+from .graphs import AnyGraph, Graph, StructuredGraph, _mask_bits
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 10**6
@@ -70,103 +69,67 @@ class ConvergenceError(RuntimeError):
 
 
 def _dense_adjacency(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n))
-    for u, row in enumerate(g.rows):
-        for v in _mask_bits(row):
-            a[u, v] = 1.0
-    return a
+    width = (g.n + 7) // 8
+    raw = b"".join(row.to_bytes(width, "little") for row in g.rows)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    return bits.reshape(g.n, 8 * width)[:, : g.n].astype(float)
 
 
-def _multipartite_matvec(
-    parts: np.ndarray,
-    nparts: int,
-    patch: Iterable[tuple[int, int]],
-    weights: np.ndarray,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> Ax for a complete multipartite scaffold plus patch edges, where
-    entry i stands for weights[i] vertices of part parts[i], all sharing
-    the value x[i].  Patch endpoints stand for one
-    vertex each.  O(len(x) + #patch) per call."""
-    pa = np.array([a for a, _ in sorted(patch)], dtype=np.intp)
-    pb = np.array([b for _, b in sorted(patch)], dtype=np.intp)
+def _matvec(g: AnyGraph) -> Callable[[np.ndarray], np.ndarray]:
+    """Adjacency operator x -> Ax on arbitrary vectors, O(n + #patch) per
+    call for a ``StructuredGraph``: the sum of x minus its part's sum, plus
+    the patch."""
+    if not isinstance(g, StructuredGraph):
+        return _dense_adjacency(g).__matmul__
+    parts = np.repeat(np.arange(len(g.sizes), dtype=np.intp), g.sizes)
+    pa, pb = np.array(sorted(g.patch), dtype=np.intp).reshape(-1, 2).T
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        wx = weights * x
-        part_sums = np.bincount(parts, weights=wx, minlength=nparts)
-        y = wx.sum() - part_sums[parts]
-        if len(pa):
-            np.add.at(y, pa, x[pb])
-            np.add.at(y, pb, x[pa])
+        y = x.sum() - np.bincount(parts, weights=x, minlength=len(g.sizes))[parts]
+        np.add.at(y, pa, x[pb])
+        np.add.at(y, pb, x[pa])
         return y
 
     return matvec
 
 
-def _matvec(g: AnyGraph) -> Callable[[np.ndarray], np.ndarray]:
-    """Adjacency operator x -> Ax, O(n) per call for a ``StructuredGraph``."""
-    if isinstance(g, StructuredGraph):
-        pidx = np.repeat(np.arange(len(g.sizes), dtype=np.intp), g.sizes)
-        return _multipartite_matvec(pidx, len(g.sizes), g.patch, np.ones(g.n))
-    a = _dense_adjacency(g)
-    return lambda x: a @ x
-
-
 class _Piece(NamedTuple):
-    """A connected piece as the power iteration sees it: the operator on
-    iterates of length `size`, the vertex count each entry stands for, and
-    the map of an iterate to the n-vector."""
+    """A connected component as the power iteration sees it: the quotient
+    matrix on its twin cells (entry (i, j) counts the neighbours a vertex of
+    cell i has in cell j), the cell sizes, and the map of cell values to
+    the n-vector."""
 
-    size: int
-    matvec: Callable[[np.ndarray], np.ndarray]
-    weights: np.ndarray
+    matrix: np.ndarray
+    sizes: np.ndarray
     expand: Callable[[np.ndarray], np.ndarray]
 
 
 def _pieces(g: AnyGraph) -> Iterator[_Piece]:
-    """Connected components, by lowest vertex.  A ``StructuredGraph`` is
-    connected and iterates on its twin cells (``StructuredGraph.twin_cells``):
-    an iterate that is constant on every cell stays so, so the iteration on
-    cell values with cell-size weights is the vertex iteration, step for
-    step, at O(#cells + #patch) per step; only ``expand`` costs O(n)."""
-    if isinstance(g, StructuredGraph):
-        yield _twin_quotient(g)
-        return
-    for comp in g.components():
-        sub, vmap = induced_subgraph_mask(g, comp)
+    """The components with an edge, by lowest vertex: the components of the
+    cell graph with two cells or more.  An iterate constant on every cell
+    stays so, so the iteration on cell values with cell-size weights is the
+    vertex iteration, step for step, at O(#cells^2) per step; only
+    ``expand`` costs O(n)."""
+    cells = g.twin_cells()
+    cell_graph = Graph._from_rows_unchecked(cells.rows)
+    sizes = np.array(cells.sizes, dtype=float)
+    quotient = _dense_adjacency(cell_graph) * sizes
+    run_cells = np.array([c for _, _, c in cells.runs], dtype=np.intp)
+    run_lengths = [stop - start for start, stop, _ in cells.runs]
+    lowest = [0] * len(sizes)
+    for start, _, c in reversed(cells.runs):
+        lowest[c] = start
+    comps = [list(_mask_bits(m)) for m in cell_graph.components()]
+    for comp in sorted(comps, key=lambda comp: min(lowest[c] for c in comp)):
+        if len(comp) == 1:
+            continue  # isolated vertices
 
-        def expand(x: np.ndarray, vmap: list[int] = vmap) -> np.ndarray:
-            full = np.zeros(g.n)
-            full[vmap] = x
-            return full
+        def expand(x: np.ndarray, comp: list[int] = comp) -> np.ndarray:
+            values = np.zeros(len(sizes))
+            values[comp] = x
+            return np.repeat(values[run_cells], run_lengths)
 
-        yield _Piece(sub.n, _matvec(sub), np.ones(sub.n), expand)
-
-
-def _twin_quotient(sg: StructuredGraph) -> _Piece:
-    # twin_cells lists the rest cells by size, so graphs differing only in
-    # which of several equal parts holds the patch sum the same values in
-    # the same order and get bit-identical results: the family search's ties
-    # between such members then fall to its explicit tie-break, not to
-    # rounding.
-    cells = sg.twin_cells()
-    nparts = len(sg.sizes)
-    nrest = len(cells.sizes) - len(cells.patch_vertices)
-    cell_of = {v: nrest + i for i, v in enumerate(cells.patch_vertices)}
-    patch = [(cell_of[a], cell_of[b]) for a, b in sg.patch]
-    weights = np.array(cells.sizes, dtype=float)
-    parts = np.array(cells.parts, dtype=np.intp)
-    matvec = _multipartite_matvec(parts, nparts, patch, weights)
-    rest_parts = parts[:nrest]
-    patch_vertices = np.array(cells.patch_vertices, dtype=np.intp)
-
-    def expand(xi: np.ndarray) -> np.ndarray:
-        per_part = np.zeros(nparts)
-        per_part[rest_parts] = xi[:nrest]
-        full = np.repeat(per_part, sg.sizes)
-        full[patch_vertices] = xi[nrest:]
-        return full
-
-    return _Piece(len(cells.sizes), matvec, weights, expand)
+        yield _Piece(quotient.take(comp, axis=0).take(comp, axis=1), sizes[comp], expand)
 
 
 def _power(
@@ -214,34 +177,28 @@ def _spectrum(g: AnyGraph, tol: float, max_iters: int, signless: bool) -> Spectr
         raise ValueError("tol must be positive and finite")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    if g.n == 0:
-        return SpectrumResult(0.0, np.zeros(0), 0.0, 0)
-    best_lam = -np.inf
+    best = None
     total_its = 0
     for piece in _pieces(g):
-        if piece.size == 1:
-            lam, vec, resid, its = 0.0, np.ones(1), 0.0, 0
+        degrees = piece.matrix.sum(axis=1)
+        if signless:
+            # D + A is positive semidefinite; plain iteration, no shift
+            matvec, shift = (lambda x: piece.matrix @ x + degrees * x), 0.0
         else:
-            degrees = piece.matvec(np.ones(piece.size))
-            if signless:
-                # D + A is positive semidefinite; plain iteration, no shift
-                matvec, shift = (lambda x: piece.matvec(x) + degrees * x), 0.0
-            else:
-                matvec, shift = piece.matvec, max(1.0, float(degrees.max()) / 2)
-            try:
-                lam, vec, resid, its = _power(matvec, piece.weights, tol, max_iters, shift)
-            except ConvergenceError as exc:
-                exc.result.vector = piece.expand(exc.result.vector)
-                raise
+            matvec, shift = piece.matrix.__matmul__, max(1.0, float(degrees.max()) / 2)
+        try:
+            lam, vec, resid, its = _power(matvec, piece.sizes, tol, max_iters, shift)
+        except ConvergenceError as exc:
+            exc.result.vector = piece.expand(exc.result.vector)
+            raise
         total_its += its
-        if lam > best_lam:
-            best_lam, best_vec, best_resid, best_piece = lam, vec, resid, piece
-    return SpectrumResult(
-        lam=max(best_lam, 0.0),
-        vector=best_piece.expand(best_vec),
-        residual=best_resid,
-        iterations=total_its,
-    )
+        if best is None or lam > best[0]:
+            best = lam, vec, resid, piece
+    if best is None:
+        # no edges: every vertex is a component of its own, and the first wins
+        return SpectrumResult(0.0, np.eye(1, g.n)[0], 0.0, 0)
+    lam, vec, resid, piece = best
+    return SpectrumResult(lam=lam, vector=piece.expand(vec), residual=resid, iterations=total_its)
 
 
 def spectral_radius(

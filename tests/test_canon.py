@@ -130,3 +130,41 @@ def test_graph_atlas_classes():
     assert [len(forms_by_order[n]) for n in range(8)] == [1, 1, 2, 4, 11, 34, 156, 1044]
     for size, level in _levels(7):
         assert level == sorted(forms_by_order[size]), size
+
+
+def test_isomorphism_matches_networkx():
+    # random graphs at n <= 20 in groups that share n and degree sequence
+    # (regular graphs, and degree-preserving edge swaps of one G(n, p)), so
+    # degrees alone cannot tell them apart: a relabeling keeps the form, and
+    # two forms are equal exactly when networkx finds an isomorphism
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(47)
+    same = differ = 0
+    for n in range(6, 21):
+        groups = [
+            [nx.random_regular_graph(d, n, seed=rng.randrange(2**32)) for _ in range(4)]
+            for d in (2, 3, 4)
+            if n * d % 2 == 0
+        ]
+        base = nx.gnp_random_graph(n, rng.uniform(0.2, 0.6), seed=rng.randrange(2**32))
+        swapped = []
+        for _ in range(4):
+            h = base.copy()
+            if h.number_of_edges() >= 2:
+                nx.double_edge_swap(h, nswap=1, max_tries=100, seed=rng.randrange(2**32))
+            swapped.append(h)
+        groups.append(swapped)
+        for hs in groups:
+            forms = []
+            for h in hs:
+                g = Graph(n, list(h.edges()))
+                perm = list(range(n))
+                rng.shuffle(perm)
+                forms.append(canonical_form(g))
+                assert canonical_form(g.relabel(perm)) == forms[-1]
+            for i, j in combinations(range(len(hs)), 2):
+                iso = nx.is_isomorphic(hs[i], hs[j])
+                assert (forms[i] == forms[j]) == iso, (n, nx.to_graph6_bytes(hs[i]), nx.to_graph6_bytes(hs[j]))
+                same += iso
+                differ += not iso
+    assert same > 20 and differ > 200

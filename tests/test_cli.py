@@ -269,6 +269,9 @@ class TestHelpAndErrors:
             ["family", "--n", "21", "--k", "2", "--r", "3", "--imbalance", "-1"],
             ["family", "--n", "1", "--k", "2", "--r", "3"],
             ["verify", "--n", "1", "--k", "2", "--r", "3"],
+            ["charpoly", "--sizes", "2,3", "--x", "nan"],
+            ["charpoly", "--sizes", "2,3", "--x", "inf"],
+            ["brute", "--n", "7", "--k", "2", "--r", "3", "--resume"],
         ],
         ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
     )

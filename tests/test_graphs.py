@@ -204,29 +204,40 @@ class TestStructuredGraph:
                 assert sg.has_edge(u, v) == g.has_edge(u, v)
 
     def test_twin_cells_are_equitable(self):
-        # rest cells first (empty ones dropped, by size, ties by part), then
-        # one cell per patch vertex; every vertex of a cell has the same number of neighbours
-        # in each cell
+        # cells by size, ties by lowest vertex; the runs tile 0..n-1; every
+        # vertex of cell i has sizes[j] neighbours in cell j when bit j of
+        # rows[i] is set and none otherwise
         cases = {
-            ((4, 3, 2), ((0, 2), (4, 5))): ((1, 2, 2, 1, 1, 1, 1), (1, 0, 2, 0, 0, 1, 1), (0, 2, 4, 5)),
-            ((2, 3), ((0, 1),)): ((3, 1, 1), (1, 0, 0), (0, 1)),
-            ((5, 1, 1), ()): ((1, 1, 5), (1, 2, 0), ()),
+            ((4, 3, 2), ((0, 2), (4, 5))): (1, 1, 1, 1, 1, 2, 2),
+            ((2, 3), ((0, 1),)): (1, 1, 3),
+            ((5, 1, 1), ()): (1, 1, 5),
+            ((3, 0, 4), ((3, 5),)): (1, 1, 2, 3),
+            # patch vertices 1 and 2 are twins: one cell when dense
+            ((3, 3), ((0, 1), (0, 2))): (1, 1, 1, 3),
         }
+        checked = [Graph(0), Graph(4), Graph(7, [(0, 3), (1, 3), (2, 4), (5, 6)])]
         for (sizes, patch), want in cases.items():
             sg = StructuredGraph(sizes, patch)
-            cells = sg.twin_cells()
-            assert tuple(cells) == want
-            assert sum(cells.sizes) == sg.n
-            members = [
-                [v for v in sg.part_range(p) if v not in cells.patch_vertices]
-                for p in cells.parts[: len(cells.sizes) - len(cells.patch_vertices)]
-            ] + [[v] for v in cells.patch_vertices]
-            assert [len(m) for m in members] == list(cells.sizes)
-            g = sg.to_graph()
-            for c in members:
-                for d in members:
-                    counts = {sum(g.has_edge(u, w) for w in d) for u in c}
-                    assert len(counts) == 1
+            assert sg.twin_cells().sizes == want
+            checked += [sg, sg.to_graph()]
+        assert checked[-1].twin_cells().sizes == (1, 2, 3)
+        for g in checked:
+            dense = g if isinstance(g, Graph) else g.to_graph()
+            cells = g.twin_cells()
+            assert sum(cells.sizes) == g.n
+            bounds = [0] + [b for _, b, _ in cells.runs]
+            assert [a for a, _, _ in cells.runs] == bounds[:-1] and bounds[-1] == g.n
+            assert all(a < b for a, b, _ in cells.runs)
+            members = [[] for _ in cells.sizes]
+            for a, b, c in cells.runs:
+                members[c].extend(range(a, b))
+            assert [(len(m), m[0]) for m in members] == sorted((len(m), m[0]) for m in members)
+            assert list(map(len, members)) == list(cells.sizes)
+            for c, mc in enumerate(members):
+                assert len({dense.rows[u] for u in mc}) == 1
+                for d, md in enumerate(members):
+                    want = cells.sizes[d] if cells.rows[c] >> d & 1 else 0
+                    assert {sum(dense.has_edge(u, w) for w in md) for u in mc} == {want}
 
 
 class TestVertexPartition:

@@ -380,6 +380,13 @@ class TestFamilySearch:
                 "lambda": pytest.approx(lam, abs=1e-10),
             }
 
+    def test_equal_part_ties_go_to_the_key(self):
+        # members that differ only in which of several equal parts hosts g0
+        # are isomorphic and get bit-identical lambda, so the explicit key
+        # (lowest host) decides these ties, not rounding
+        for n, spec in ((20, (2, 5)), (40, (2, 5)), (40, (3, 3))):
+            assert family_search(n, spec).winner["host_part"] == 0
+
     def test_jobs_match(self):
         a = family_search(30, (2, 3), jobs=1).to_json(timing=False)
         b = family_search(30, (2, 3), jobs=2).to_json(timing=False)

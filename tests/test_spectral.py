@@ -27,6 +27,7 @@ from fanspec import (
     split_graph,
     turan_graph,
 )
+from fanspec.families import embed_in_part
 from fanspec.spectral import _matvec
 
 
@@ -94,6 +95,14 @@ class TestSpectralRadius:
         assert res.lam == pytest.approx(2.0, abs=1e-10)
         assert res.vector[2:5].min() > 0
         assert res.vector[:2].max() == 0 and res.vector[5:].max() == 0
+        # C4 (two cells of two twins) and K3 (three cells) both have lambda
+        # exactly 2: the component with the lowest vertex wins either way
+        c4 = [(0, 2), (0, 3), (1, 2), (1, 3)]
+        k3 = [(4, 5), (4, 6), (5, 6)]
+        for edges, support in ((c4 + k3, [0, 1, 2, 3]), ([(6 - a, 6 - b) for a, b in c4 + k3], [0, 1, 2])):
+            for solve in (spectral_radius, signless_laplacian_spectrum):
+                res = solve(Graph(7, edges))
+                assert np.flatnonzero(res.vector).tolist() == support
 
     def test_empty_graph(self):
         res = spectral_radius(empty_graph(4))
@@ -140,21 +149,73 @@ class TestSpectralRadius:
 
     def test_equal_parts_are_interchangeable(self):
         # the same patch in any of several equal parts gives bit-identical
-        # solves, so ties between such graphs never fall to rounding
-        patch = [(0, 1), (1, 2), (0, 2), (3, 4), (3, 5), (4, 5)]
-        for sizes in ((225, 225), (30, 30, 30), (40, 41, 40)):
+        # solves, dense (n <= 64) or structured, so ties between such graphs
+        # never fall to rounding
+        triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (3, 5), (4, 5)]
+        dense = 0
+        for sizes in ((5, 5, 5, 5), (20, 20), (10, 10, 10, 10), (225, 225), (30, 30, 30), (40, 41, 40)):
+            patch = triangles if sizes[0] >= 6 else triangles[:3]
             outcomes = []
             for host in (i for i, s in enumerate(sizes) if s == sizes[0]):
-                off = sum(sizes[:host])
-                sg = StructuredGraph(sizes, [(off + a, off + b) for a, b in patch])
+                g = embed_in_part(sizes, host, patch)
+                dense += isinstance(g, Graph)
                 outcomes.append(
                     [
                         (res.lam, res.residual, res.iterations)
-                        for res in (spectral_radius(sg), signless_laplacian_spectrum(sg))
+                        for res in (spectral_radius(g), signless_laplacian_spectrum(g))
                     ]
                 )
             assert len(outcomes) >= 2
             assert all(o == outcomes[0] for o in outcomes)
+        assert dense == 10
+
+    def test_twin_blowups_against_eigvalsh(self):
+        # both solvers on twin blow-ups with several components and isolated
+        # vertices: the dense eigenvalue, a vector constant on every twin
+        # class with max entry 1, supported on one component that reaches
+        # the eigenvalue; an edgeless graph gives e_0
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        from test_patterns import random_blowup
+
+        @hypothesis.settings(max_examples=150, deadline=None, database=None)
+        @hypothesis.given(
+            seed=st.integers(0, 2**32 - 1),
+            pieces=st.integers(1, 3),
+            isolated=st.integers(0, 4),
+            data=st.data(),
+        )
+        def agrees(seed, pieces, isolated, data):
+            rng = random.Random(seed)
+            edges, n = [], 0
+            for _ in range(pieces):
+                b = random_blowup(rng, 4, 12)
+                edges += [(u + n, v + n) for u, v in b.edges()]
+                n += b.n
+            n += isolated
+            g = Graph(n, edges).relabel(data.draw(st.permutations(range(n))))
+            comps = [[v for v in range(n) if m >> v & 1] for m in g.components()]
+            for solve, m in ((spectral_radius, _adjacency(g)), (signless_laplacian_spectrum, _q_matrix(g))):
+                res = solve(g)
+                assert res.lam == pytest.approx(np.linalg.eigvalsh(m)[-1], abs=1e-9)
+                assert res.vector.max() == 1.0
+                support = [v for v in range(n) if res.vector[v] != 0]
+                assert support in comps
+                assert np.linalg.eigvalsh(m[np.ix_(support, support)])[-1] == pytest.approx(
+                    res.lam, abs=1e-9
+                )
+                if g.edge_count:
+                    for row in set(g.rows):
+                        assert len({res.vector[v] for v in range(n) if g.rows[v] == row}) == 1
+                else:
+                    assert support == [0]
+
+        agrees()
+        for n in (1, 5, 40):
+            for solve in (spectral_radius, signless_laplacian_spectrum):
+                res = solve(empty_graph(n))
+                assert (res.lam, res.residual, res.iterations) == (0.0, 0.0, 0)
+                assert res.vector.tolist() == [1.0] + [0.0] * (n - 1)
 
     def test_nonconverged_vector_is_full_length(self):
         for g in (extremal_fan_graph(300, (3, 3))[0], Graph(5, [(0, 1), (2, 3), (3, 4)])):

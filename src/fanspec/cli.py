@@ -364,7 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--out", help="write the JSON report to this file")
     pb.add_argument("--checkpoint", help="sidecar JSON for checkpoint/resume")
     pb.add_argument("--resume", action="store_true", help="resume from checkpoint")
-    pb.add_argument("--checkpoint-every", type=int, default=10**6)
+    pb.add_argument(
+        "--checkpoint-every", type=int, help="classes between checkpoints (default 10^6)"
+    )
     pb.add_argument("--no-timing", action="store_true", help="null wall_seconds")
     pb.set_defaults(func=_cmd_brute)
 

@@ -56,7 +56,7 @@ from .graphs import (
     to_graph6,
 )
 from .patterns import clique_packing_number, contains_fan, matching_number
-from .spectral import spectral_radius
+from .spectral import _check_tol, spectral_radius
 
 DEFAULT_ENUM_CAP = 10
 LAMBDA_WITNESS_WINDOW = 1e-8
@@ -306,19 +306,31 @@ def brute_force_extremal(
     cap: int = DEFAULT_ENUM_CAP,
     checkpoint_path: str | None = None,
     resume: bool = False,
-    checkpoint_every: int = 10**6,
+    checkpoint_every: int | None = None,
 ) -> ExtremalReport:
     """Exact maximum edges or spectral radius over every fan-free
-    isomorphism class on n vertices, with all achieving witnesses."""
+    isomorphism class on n vertices, with all achieving witnesses.
+
+    With a checkpoint path, the state is saved after each batch that brings
+    the classes examined since the last save to `checkpoint_every` (default
+    10^6)."""
     spec = fanspec_of(spec)
     if mode not in ("edges", "lambda"):
         raise ValueError("mode must be 'edges' or 'lambda'")
+    if mode == "lambda":
+        _check_tol(tol)
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > cap:
         raise EnumerationCapError(f"n={n} exceeds the enumeration cap {cap}")
     if resume and not checkpoint_path:
         raise ValueError("resume needs a checkpoint path")
+    if checkpoint_every is None:
+        checkpoint_every = 10**6
+    elif not checkpoint_path:
+        raise ValueError("checkpoint_every needs a checkpoint path")
+    elif checkpoint_every < 1:
+        raise ValueError("checkpoint_every must be at least 1")
     t0 = time.monotonic()
 
     for _, parents in _levels(n - 1):
@@ -585,6 +597,7 @@ def family_search(
     spec = fanspec_of(spec)
     if spec.r < 3:
         raise ValueError("family search requires clique order r >= 3")
+    _check_tol(tol)
     t0 = time.monotonic()
     vectors = _part_size_vectors(n, spec.r - 1, max_imbalance)
     if not vectors:

@@ -6,9 +6,9 @@ One driver, ``_spectrum``, serves the adjacency and the signless Laplacian
 radius for both graph types, on one path: the graph type only decides how
 its twin cells, the classes of false twins, are found (``twin_cells``).
 They form an equitable partition (Brouwer & Haemers, *Spectra of Graphs*
-2.3; Godsil & Royle, *Algebraic Graph Theory* 9.3), so ``_pieces`` iterates
+2.3; Godsil & Royle, *Algebraic Graph Theory* 9.3), so ``_pieces`` works
 on the cell values of each component, with the quotient matrix
-A_sub * sizes: at most n cells for a dense ``Graph`` (n <= 64 in
+B = A_sub * sizes: at most n cells for a dense ``Graph`` (n <= 64 in
 practice), at most #parts + #patch vertices for a ``StructuredGraph``
 whatever n is.  Cells are ordered by size, so graphs that differ only in
 which of several equal parts holds the patch get the same quotient and
@@ -17,21 +17,41 @@ key, not to rounding.  Components are taken by lowest vertex, and the first
 one wins ties; an edgeless graph gives e_0.  The patch-free quotient is the
 equation sum_i n_i / (lambda + n_i) = 1 of ``multipartite_spectral_radius``.
 
+The seed: with D = diag(sizes), B is similar to the symmetric
+D^1/2 B D^-1/2 = A_sub * sqrt(s_i s_j) (plus diag(degrees) for D + A), and
+one ``eigh`` of that small matrix gives the Perron pair.  Its top
+eigenvector, mapped back by D^-1/2, taken in absolute value and scaled to
+max entry 1, is the start of the power loop ``_power`` (``_seed``, which
+also gives true-twin cells one value, as the all-ones start did).  Above
+``SEED_MAX_CELLS`` cells (many-part Turan graphs; never a graph of at most
+64 vertices) the O(p^3) ``eigh`` costs more than the steps it saves, and
+the loop starts from all-ones as before.
+
+The polishing loop: ``_power`` keeps the residual contract.  Lambda is the
+Rayleigh quotient of the expanded vector, and convergence is judged by the
+infinity-norm eigen-residual ||Mx - lambda*x|| on the returned max-entry-1
+iterate, not by iterate distance, so the reported residual is checked on
+the vector handed back, never taken from ``eigh``.  A well-conditioned
+solve returns after one step; one whose seed misses tol (large lambda,
+where tol is a few ulps) keeps iterating as before, and ``max_iters`` and
+``ConvergenceError`` mean what they did.
+
+Why the shift stays: the loop runs on A + cI with c = max(1, maxdeg/2), so
+connected graphs give a primitive matrix (no +/-lambda oscillation on
+bipartite graphs) and the subdominant ratio stays bounded away from 1 on
+the near-bipartite hosts; with c = 1 the rounding noise injected per step
+gets amplified by 1/(1-ratio), which puts the float64 residual floor above
+tolerance at thousands of vertices.  From the seed the shift costs no
+steps where it used to cost hundreds (split graphs, where lambda ~
+sqrt(3n) is far below maxdeg ~ n), and it still guards the hard solves
+that keep polishing.  D + A is positive semidefinite and iterates
+unshifted.
+
 What remains of the float64 floor: the cell sums are ~n-sized numbers, so
 at n ~ 10^6 (lambda ~ 5 * 10^5) the default tol of 1e-10 is 1-2 ulps of
-lambda and the residual can stall just above it (1.16e-10 on
-``extremal:1000000,3,3``); below about n = 4.5 * 10^5 it converges in
-~23 steps.
-
-Power iteration runs on A + cI with c = max(1, maxdeg/2), so connected
-graphs give a primitive matrix (no +/-lambda oscillation on bipartite
-graphs) and the subdominant ratio stays bounded away from 1 on the
-near-bipartite hosts; with c = 1 the rounding noise injected per step gets
-amplified by 1/(1-ratio), which puts the float64 residual floor above
-tolerance at thousands of vertices.  D + A is positive semidefinite and
-iterates unshifted.  Convergence is judged by the infinity-norm
-eigen-residual ||Mx - lambda*x|| on the max-entry-1 normalized iterate, not
-by iterate distance.
+lambda and the residual can stall just above it (1.16e-10 for the signless
+solve of ``extremal:1000000,3,3`` and the adjacency solve of
+``extremal:999999,2,5``).
 """
 
 from __future__ import annotations
@@ -47,6 +67,10 @@ from .graphs import AnyGraph, Graph, StructuredGraph, _mask_bits
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 10**6
+# ``eigh`` costs O(p^3) for p cells, a power step O(p^2); at 64 cells one
+# ``eigh`` takes about as long as the ~45 steps that the all-ones start needs
+# (2-core x86-64 host), so larger pieces start from all-ones
+SEED_MAX_CELLS = 64
 
 
 @dataclass(eq=False)
@@ -135,11 +159,13 @@ def _pieces(g: AnyGraph) -> Iterator[_Piece]:
 def _power(
     matvec: Callable[[np.ndarray], np.ndarray],
     weights: np.ndarray,
+    x: np.ndarray,
     tol: float,
     max_iters: int,
     shift: float,
 ) -> tuple[float, np.ndarray, float, int]:
-    """Power iteration on M + shift*I, M = matvec, with the residual contract.
+    """Power iteration on M + shift*I, M = matvec, from the nonnegative
+    start x (max entry 1), with the residual contract.
 
     The iterate stays normalized to max entry 1, so the reported residual is
     exactly ||Mx - lambda*x||_inf for the returned vector.  Entry i stands
@@ -147,7 +173,6 @@ def _power(
     quotient of that expanded vector.
     """
     n = len(weights)
-    x = np.ones(n)
     lam = 0.0
     resid = np.inf
     for it in range(1, max_iters + 1):
@@ -169,12 +194,42 @@ def _power(
     )
 
 
+def _seed(piece: _Piece, diagonal: np.ndarray | None) -> np.ndarray:
+    """Start vector of the power loop: the Perron vector of the quotient B
+    (plus `diagonal`), nonnegative with max entry 1.
+
+    B = A_sub * sizes is similar to the symmetric D^1/2 B D^-1/2 =
+    A_sub * sqrt(s_i s_j), D = diag(sizes), so one ``eigh`` gives its top
+    eigenvector, mapped back by D^-1/2.  Equal rows of B + I are singleton
+    cells with one closed neighbourhood (true twins), whose Perron entries
+    are equal; they get one value, since an ulp-level spread between them
+    decays at a ratio near 1 and holds the residual above tol where lambda
+    is ~n.  A piece of more than SEED_MAX_CELLS cells starts from all-ones.
+    """
+    if len(piece.sizes) > SEED_MAX_CELLS:
+        return np.ones(len(piece.sizes))
+    root = np.sqrt(piece.sizes)
+    sym = piece.matrix / piece.sizes * np.outer(root, root)
+    if diagonal is not None:
+        sym += np.diag(diagonal)
+    x = np.abs(np.linalg.eigh(sym)[1][:, -1] / root)
+    first: dict[bytes, int] = {}
+    closed = piece.matrix + np.eye(len(x))
+    x = x[[first.setdefault(row.tobytes(), i) for i, row in enumerate(closed)]]
+    return x / x.max()
+
+
+def _check_tol(tol: float) -> None:
+    """Reject a tolerance outside 0 < tol < inf (NaN included)."""
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+
+
 def _spectrum(g: AnyGraph, tol: float, max_iters: int, signless: bool) -> SpectrumResult:
     """Largest eigenvalue of A (or of D + A when `signless`), per connected
     component; the vector is supported on the achieving component (first
     component wins ties), zeros elsewhere."""
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+    _check_tol(tol)
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     best = None
@@ -186,8 +241,9 @@ def _spectrum(g: AnyGraph, tol: float, max_iters: int, signless: bool) -> Spectr
             matvec, shift = (lambda x: piece.matrix @ x + degrees * x), 0.0
         else:
             matvec, shift = piece.matrix.__matmul__, max(1.0, float(degrees.max()) / 2)
+        start = _seed(piece, degrees if signless else None)
         try:
-            lam, vec, resid, its = _power(matvec, piece.sizes, tol, max_iters, shift)
+            lam, vec, resid, its = _power(matvec, piece.sizes, start, tol, max_iters, shift)
         except ConvergenceError as exc:
             exc.result.vector = piece.expand(exc.result.vector)
             raise
@@ -238,8 +294,7 @@ def multipartite_spectral_radius(
 
     A single part means the empty graph; 0 is returned for that degenerate
     case."""
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+    _check_tol(tol)
     ps = partition_sizes_of(sizes)
     if ps.num_parts == 1:
         return 0.0

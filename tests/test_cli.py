@@ -265,6 +265,10 @@ class TestHelpAndErrors:
             ["brute", "--n", "4", "--k", "1", "--r", "3", "--mode", "lambda", "--tol", "nan"],
             ["lambda", "--construct", "ch:4", "--tol", "inf"],
             ["brute", "--n", "4", "--k", "1", "--r", "3", "--mode", "lambda", "--tol", "inf"],
+            ["brute", "--n", "8", "--k", "2", "--r", "3", "--mode", "lambda", "--tol", "-1"],
+            ["family", "--n", "450", "--k", "3", "--r", "3", "--tol", "-1"],
+            ["verify", "--n", "8", "--k", "2", "--r", "3", "--tol", "0"],
+            ["brute", "--n", "5", "--k", "1", "--r", "3", "--checkpoint-every", "5"],
             ["family", "--n", "21", "--k", "2", "--r", "3", "--imbalance", "0"],
             ["family", "--n", "21", "--k", "2", "--r", "3", "--imbalance", "-1"],
             ["family", "--n", "1", "--k", "2", "--r", "3"],
@@ -281,6 +285,15 @@ class TestHelpAndErrors:
         assert err.startswith("error:")
         assert "Traceback" not in err
         assert out == ""
+
+    @pytest.mark.parametrize("every", ["0", "-3"])
+    def test_checkpoint_every_below_one_is_exit_2(self, tmp_path, every):
+        ckpt = tmp_path / "state.json"
+        argv = ["brute", "--n", "5", "--k", "1", "--r", "3", "--checkpoint", str(ckpt)]
+        code, out, err = run_cli(argv + ["--checkpoint-every", every])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not ckpt.exists()
 
     def test_construct_spec_parser(self):
         assert parse_construct_spec("turan:5,2") == turan_graph(5, 2)

@@ -250,6 +250,29 @@ class TestBruteForceExtremal:
         ).to_json(timing=False)
         assert again == first
 
+    def test_checkpoint_every_validated(self, tmp_path):
+        ckpt = str(tmp_path / "state.json")
+        for every in (0, -3):
+            with pytest.raises(ValueError):
+                brute_force_extremal(5, (1, 3), "edges", checkpoint_path=ckpt, checkpoint_every=every)
+        with pytest.raises(ValueError):
+            brute_force_extremal(5, (1, 3), "edges", checkpoint_every=5)
+        assert not (tmp_path / "state.json").exists()
+
+    def test_bad_tol_rejected_before_enumeration(self, monkeypatch):
+        def enumerate_nothing(*args, **kwargs):
+            raise AssertionError("enumerated before checking tol")
+
+        monkeypatch.setattr(oracle, "_levels", enumerate_nothing)
+        monkeypatch.setattr(oracle, "g0_candidates", enumerate_nothing)
+        for tol in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                brute_force_extremal(8, (2, 3), "lambda", tol=tol)
+            with pytest.raises(ValueError):
+                family_search(450, (3, 3), tol=tol)
+            with pytest.raises(ValueError):
+                verify_main_theorem(8, (2, 3), tol=tol)
+
     def test_checkpoint_mismatch_rejected(self, tmp_path):
         ckpt = tmp_path / "state.json"
         ckpt.write_text(

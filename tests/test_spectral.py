@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from fanspec import (
     StructuredGraph,
     complete_graph,
     complete_multipartite,
+    contains_fan,
     cycle_graph,
     empty_graph,
+    enumerate_graphs,
     extremal_fan_graph,
     join,
     multipartite_charpoly_eval,
@@ -28,7 +31,7 @@ from fanspec import (
     turan_graph,
 )
 from fanspec.families import embed_in_part
-from fanspec.spectral import _matvec
+from fanspec.spectral import SEED_MAX_CELLS, _matvec, _pieces, _power
 
 
 def random_graph(n, p, rng):
@@ -110,10 +113,12 @@ class TestSpectralRadius:
         assert res.vector.tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_iteration_budget_error_carries_result(self):
+        # the seeded loop converges in a step or two at any reachable tol,
+        # so a tol below the float64 floor forces the budget to run out
         with pytest.raises(ConvergenceError) as info:
-            spectral_radius(path_graph(30), tol=1e-12, max_iters=3)
+            spectral_radius(path_graph(30), tol=1e-300, max_iters=3)
         assert info.value.result.iterations == 3
-        assert info.value.result.residual > 1e-12
+        assert info.value.result.residual > 1e-300
 
     def test_structured_matches_dense(self):
         # twin-cell solves against the dense solve, with the residual
@@ -220,7 +225,7 @@ class TestSpectralRadius:
     def test_nonconverged_vector_is_full_length(self):
         for g in (extremal_fan_graph(300, (3, 3))[0], Graph(5, [(0, 1), (2, 3), (3, 4)])):
             with pytest.raises(ConvergenceError) as info:
-                spectral_radius(g, tol=1e-15, max_iters=2)
+                spectral_radius(g, tol=1e-300, max_iters=2)
             assert info.value.result.vector.shape == (g.n,)
 
     def test_eigsh_cross_check(self):
@@ -286,6 +291,67 @@ class TestSpectralRadius:
         for tol in (float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 multipartite_spectral_radius([3, 3], tol=tol)
+
+
+class TestSeededSolve:
+    """The power loop starts at the Perron vector of the symmetrized twin
+    quotient, so a well-conditioned solve needs one step."""
+
+    def test_split_graph_needs_no_polishing(self):
+        # the shift max(1, maxdeg/2) is ~n/2 against lambda ~ sqrt(3n): 292
+        # steps from the all-ones start
+        assert spectral_radius(split_graph(5000, 3)).iterations <= 2
+
+    def test_true_twins_share_one_seed_value(self):
+        # the k clique vertices of a split graph are true twins in cells of
+        # their own; an ulp-level spread between them in the seed decays at
+        # a ratio near 1 and held the signless residual above the default
+        # tol at these n (q ~ n, so tol is a few ulps)
+        for n, k in ((196658, 4), (280788, 6), (422097, 6), (848722, 2)):
+            res = signless_laplacian_spectrum(split_graph(n, k), max_iters=100)
+            assert res.iterations <= 2
+            assert set(res.vector[-k:].tolist()) == {1.0}
+
+    def test_many_cells_start_from_all_ones(self):
+        # eigh is O(p^3): a piece of more than SEED_MAX_CELLS cells skips it,
+        # and a balanced Turan graph is solved exactly in one step
+        p = SEED_MAX_CELLS + 1
+        with mock.patch("numpy.linalg.eigh", side_effect=AssertionError):
+            res = spectral_radius(turan_graph(2 * p, p))
+        assert (res.lam, res.residual, res.iterations) == (2 * p - 2, 0.0, 1)
+
+    def test_fan_free_classes_at_seven(self):
+        # the 400 solves of the enum7 job: 17,930 steps from all-ones
+        free = [g for g in enumerate_graphs(7) if contains_fan(g, (2, 3)) is None]
+        assert len(free) == 400
+        steps = sum(spectral_radius(g).iterations for g in free)
+        pieces = sum(len(list(_pieces(g))) for g in free)
+        assert steps <= 2 * pieces
+
+    def test_seed_agrees_with_unseeded_loop(self):
+        # the same solve from the all-ones start of the plain power loop,
+        # and the dense eigenvalue
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        from test_patterns import random_blowup
+
+        def unseeded(matvec, weights, x, *rest):
+            return _power(matvec, weights, np.ones(len(weights)), *rest)
+
+        @hypothesis.settings(max_examples=100, deadline=None, database=None)
+        @hypothesis.given(seed=st.integers(0, 2**32 - 1))
+        def agrees(seed):
+            g = random_blowup(random.Random(seed), 4, 24)
+            for solve, m in ((spectral_radius, _adjacency(g)), (signless_laplacian_spectrum, _q_matrix(g))):
+                seeded = solve(g)
+                with mock.patch("fanspec.spectral._power", unseeded):
+                    plain = solve(g)
+                assert seeded.residual <= 1e-10
+                assert seeded.lam == pytest.approx(np.linalg.eigvalsh(m)[-1], abs=1e-9)
+                assert seeded.lam == pytest.approx(plain.lam, abs=1e-9)
+                assert np.allclose(seeded.vector, plain.vector, rtol=0, atol=1e-9)
+
+        agrees()
 
 
 class TestRayleigh:

@@ -23,9 +23,8 @@ one ``eigh`` of that small matrix gives the Perron pair.  Its top
 eigenvector, mapped back by D^-1/2, taken in absolute value and scaled to
 max entry 1, is the start of the power loop ``_power`` (``_seed``, which
 also gives true-twin cells one value, as the all-ones start did).  Above
-``SEED_MAX_CELLS`` cells (many-part Turan graphs; never a graph of at most
-64 vertices) the O(p^3) ``eigh`` costs more than the steps it saves, and
-the loop starts from all-ones as before.
+``SEED_MAX_CELLS`` cells (many-part graphs) the O(p^3) ``eigh`` costs more
+than the steps it saves, and the loop starts from all-ones as before.
 
 The polishing loop: ``_power`` keeps the residual contract.  Lambda is the
 Rayleigh quotient of the expanded vector, and convergence is judged by the
@@ -34,7 +33,9 @@ iterate, not by iterate distance, so the reported residual is checked on
 the vector handed back, never taken from ``eigh``.  A well-conditioned
 solve returns after one step; one whose seed misses tol (large lambda,
 where tol is a few ulps) keeps iterating as before, and ``max_iters`` and
-``ConvergenceError`` mean what they did.
+``ConvergenceError`` mean what they did.  A seeded loop caught on a cycle
+of float iterates that misses tol restarts once from all-ones, so it
+converges wherever the all-ones start converges within the budget.
 
 Why the shift stays: the loop runs on A + cI with c = max(1, maxdeg/2), so
 connected graphs give a primitive matrix (no +/-lambda oscillation on
@@ -67,10 +68,13 @@ from .graphs import AnyGraph, Graph, StructuredGraph, _mask_bits
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 10**6
-# ``eigh`` costs O(p^3) for p cells, a power step O(p^2); at 64 cells one
-# ``eigh`` takes about as long as the ~45 steps that the all-ones start needs
-# (2-core x86-64 host), so larger pieces start from all-ones
-SEED_MAX_CELLS = 64
+# ``eigh`` costs O(p^3) for p cells, a power step O(p^2).  Timed on eight
+# solves per cell count (lambda and qlambda on Turan, extremal, unequal
+# multipartite and split graphs, n = 10^5; 2-core x86-64 host), the seeded
+# solve is faster in the median at 48 cells (0.92 of the all-ones time,
+# 7 of 8 faster) and slower from 64 on (1.15, 1.60, 1.88 and 4.2 at 64,
+# 80, 128 and 256 cells); BENCH_direct_quotient.json, "seed_cap_crossover"
+SEED_MAX_CELLS = 48
 
 
 @dataclass(eq=False)
@@ -171,10 +175,22 @@ def _power(
     exactly ||Mx - lambda*x||_inf for the returned vector.  Entry i stands
     for weights[i] vertices of equal value, and lambda is the Rayleigh
     quotient of that expanded vector.
+
+    Where lambda is ~n, tol is about one ulp of lambda, and the loop can
+    settle on a short cycle of float iterates (a fixed point, or a period of
+    2 or 3) whose residual is one ulp too large and will never move again;
+    which cycle next to the Perron vector it reaches decides that, not the
+    start's accuracy.  A loop that started off all-ones finds such a cycle
+    by comparing each iterate with the one saved at the last power of two
+    (Brent), and then restarts once from all-ones, with what is left of
+    max_iters: so a solve from the seed never fails where the all-ones
+    start would have converged within the budget.
     """
     n = len(weights)
     lam = 0.0
     resid = np.inf
+    restart = not (x == 1.0).all()
+    mark, span, age = x, 1, 0
     for it in range(1, max_iters + 1):
         y = matvec(x)
         wx = weights * x
@@ -182,12 +198,18 @@ def _power(
         resid = float(np.max(np.abs(y - lam * x)))
         if resid <= tol:
             return lam, x, resid, it
-        x = y + shift * x
-        top = float(x.max())
+        nxt = y + shift * x
+        top = float(nxt.max())
         if top <= 0.0:
             # all-zero row pattern; cannot happen on a connected component
             return 0.0, np.ones(n), 0.0, it
-        x = x / top
+        nxt = nxt / top
+        if restart:
+            if np.array_equal(nxt, mark):
+                nxt, restart = np.ones(n), False
+            elif (age := age + 1) == span:
+                mark, span, age = nxt, 2 * span, 0
+        x = nxt
     raise ConvergenceError(
         f"residual {resid:.3e} > tol {tol:.3e} after {max_iters} iterations",
         SpectrumResult(lam=lam, vector=x, residual=resid, iterations=max_iters),

@@ -293,6 +293,11 @@ class TestSpectralRadius:
                 multipartite_spectral_radius([3, 3], tol=tol)
 
 
+def _unseeded(matvec, weights, x, *rest):
+    """The power loop from the all-ones start, in place of the seed."""
+    return _power(matvec, weights, np.ones(len(weights)), *rest)
+
+
 class TestSeededSolve:
     """The power loop starts at the Perron vector of the symmetrized twin
     quotient, so a well-conditioned solve needs one step."""
@@ -328,6 +333,30 @@ class TestSeededSolve:
         pieces = sum(len(list(_pieces(g))) for g in free)
         assert steps <= 2 * pieces
 
+    @pytest.mark.parametrize(
+        "n, spec, solve, period",
+        [
+            (999999, (2, 5), signless_laplacian_spectrum, 1),
+            (749436, (2, 5), signless_laplacian_spectrum, 2),
+            (734143, (3, 3), spectral_radius, 2),
+            (574341, (2, 5), signless_laplacian_spectrum, 3),
+        ],
+    )
+    def test_stalled_seed_restarts_from_all_ones(self, n, spec, solve, period):
+        # lambda ~ n puts the default tol at about one ulp of lambda; from the
+        # seed these solves settle on a cycle of float iterates of the given
+        # period with a residual one ulp too large, where the all-ones start
+        # reaches a residual within tol.  The restart then follows the
+        # all-ones run step for step.
+        g = extremal_fan_graph(n, spec)[0]
+        seeded = solve(g)
+        with mock.patch("fanspec.spectral._power", _unseeded):
+            plain = solve(g)
+        assert seeded.residual == plain.residual <= 1e-10
+        assert seeded.lam == plain.lam
+        assert np.array_equal(seeded.vector, plain.vector)
+        assert seeded.iterations > plain.iterations + period
+
     def test_seed_agrees_with_unseeded_loop(self):
         # the same solve from the all-ones start of the plain power loop,
         # and the dense eigenvalue
@@ -335,16 +364,13 @@ class TestSeededSolve:
         st = hypothesis.strategies
         from test_patterns import random_blowup
 
-        def unseeded(matvec, weights, x, *rest):
-            return _power(matvec, weights, np.ones(len(weights)), *rest)
-
         @hypothesis.settings(max_examples=100, deadline=None, database=None)
         @hypothesis.given(seed=st.integers(0, 2**32 - 1))
         def agrees(seed):
             g = random_blowup(random.Random(seed), 4, 24)
             for solve, m in ((spectral_radius, _adjacency(g)), (signless_laplacian_spectrum, _q_matrix(g))):
                 seeded = solve(g)
-                with mock.patch("fanspec.spectral._power", unseeded):
+                with mock.patch("fanspec.spectral._power", _unseeded):
                     plain = solve(g)
                 assert seeded.residual <= 1e-10
                 assert seeded.lam == pytest.approx(np.linalg.eigvalsh(m)[-1], abs=1e-9)

@@ -35,7 +35,7 @@ solve returns after one step; one whose seed misses tol (large lambda,
 where tol is a few ulps) keeps iterating as before, and ``max_iters`` and
 ``ConvergenceError`` mean what they did.  A seeded loop caught on a cycle
 of float iterates that misses tol restarts once from all-ones, so it
-converges wherever the all-ones start converges within the budget.
+converges wherever the all-ones start converges in the steps left.
 
 Why the shift stays: the loop runs on A + cI with c = max(1, maxdeg/2), so
 connected graphs give a primitive matrix (no +/-lambda oscillation on
@@ -182,9 +182,8 @@ def _power(
     which cycle next to the Perron vector it reaches decides that, not the
     start's accuracy.  A loop that started off all-ones finds such a cycle
     by comparing each iterate with the one saved at the last power of two
-    (Brent), and then restarts once from all-ones, with what is left of
-    max_iters: so a solve from the seed never fails where the all-ones
-    start would have converged within the budget.
+    (Brent), and then restarts once from all-ones with what is left of
+    max_iters, from where it runs step for step as the all-ones start does.
     """
     n = len(weights)
     lam = 0.0
@@ -198,18 +197,17 @@ def _power(
         resid = float(np.max(np.abs(y - lam * x)))
         if resid <= tol:
             return lam, x, resid, it
-        nxt = y + shift * x
-        top = float(nxt.max())
+        x = y + shift * x
+        top = float(x.max())
         if top <= 0.0:
             # all-zero row pattern; cannot happen on a connected component
             return 0.0, np.ones(n), 0.0, it
-        nxt = nxt / top
+        x = x / top
         if restart:
-            if np.array_equal(nxt, mark):
-                nxt, restart = np.ones(n), False
+            if np.array_equal(x, mark):
+                x, restart = np.ones(n), False
             elif (age := age + 1) == span:
-                mark, span, age = nxt, 2 * span, 0
-        x = nxt
+                mark, span, age = x, 2 * span, 0
     raise ConvergenceError(
         f"residual {resid:.3e} > tol {tol:.3e} after {max_iters} iterations",
         SpectrumResult(lam=lam, vector=x, residual=resid, iterations=max_iters),

@@ -125,7 +125,9 @@ def _cmd_construct(args) -> int:
 def _parse_sweep(text: str) -> tuple[str, range]:
     var, _, spec = text.partition("=")
     start, step, stop = (int(x) for x in spec.split(":"))
-    return var, range(start, stop + 1, step)
+    if step == 0:
+        raise ValueError("--sweep step must not be 0")
+    return var, range(start, stop + (1 if step > 0 else -1), step)
 
 
 def _cmd_lambda(args) -> int:
@@ -329,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common_numeric(pl)
         pl.add_argument("--vector", action="store_true", help=vector)
         pl.add_argument("--raw", action="store_true", help="print only the 12-digit value")
-        pl.add_argument("--sweep", help="n-sweep start:step:stop, CSV output")
+        pl.add_argument("--sweep", help="n-sweep start:step:stop, stop included, CSV output")
         pl.add_argument("--out", help="write output to this file")
         pl.set_defaults(func=_cmd_lambda, signless=signless)
 

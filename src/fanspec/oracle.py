@@ -317,8 +317,7 @@ def brute_force_extremal(
     spec = fanspec_of(spec)
     if mode not in ("edges", "lambda"):
         raise ValueError("mode must be 'edges' or 'lambda'")
-    if mode == "lambda":
-        _check_tol(tol)
+    _check_tol(tol)
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > cap:

@@ -26,16 +26,22 @@ also gives true-twin cells one value, as the all-ones start did).  Above
 ``SEED_MAX_CELLS`` cells (many-part graphs) the O(p^3) ``eigh`` costs more
 than the steps it saves, and the loop starts from all-ones as before.
 
-The polishing loop: ``_power`` keeps the residual contract.  Lambda is the
-Rayleigh quotient of the expanded vector, and convergence is judged by the
-infinity-norm eigen-residual ||Mx - lambda*x|| on the returned max-entry-1
-iterate, not by iterate distance, so the reported residual is checked on
-the vector handed back, never taken from ``eigh``.  A well-conditioned
-solve returns after one step; one whose seed misses tol (large lambda,
-where tol is a few ulps) keeps iterating as before, and ``max_iters`` and
-``ConvergenceError`` mean what they did.  A seeded loop caught on a cycle
-of float iterates that misses tol restarts once from all-ones, so it
-converges wherever the all-ones start converges in the steps left.
+The polishing loop: ``_power`` keeps the residual contract and runs in
+the dtype of its start.  The seed is ``np.longdouble``, so on a seeded
+piece the products with the float64 quotient (integer entries, exact in
+float64), the weights, lambda and the residual promote to extended
+precision.  Lambda is the Rayleigh quotient of the expanded vector, and
+convergence is judged by the infinity-norm eigen-residual
+||Mx - lambda*x|| of the extended-precision cell iterate (max entry 1),
+not by iterate distance and never taken from ``eigh``; the returned
+vector is that iterate rounded to float64.  Where lambda is ~n ~ 10^6 the
+default tol of 1e-10 is 1-2 ulps of lambda in float64 but about 10^3 in
+the 64-bit significand of x86 extended precision, so a seeded solve
+polishes to tol in a few steps instead of stalling one ulp above it.  A
+piece above ``SEED_MAX_CELLS`` starts from float64 all-ones and stays in
+float64, as before.  Where ``long double`` is float64 (some platforms)
+the old floor returns, as a ``ConvergenceError`` (exit 3), never as a
+wrong lambda; ``max_iters`` and ``ConvergenceError`` mean what they did.
 
 Why the shift stays: the loop runs on A + cI with c = max(1, maxdeg/2), so
 connected graphs give a primitive matrix (no +/-lambda oscillation on
@@ -47,12 +53,6 @@ steps where it used to cost hundreds (split graphs, where lambda ~
 sqrt(3n) is far below maxdeg ~ n), and it still guards the hard solves
 that keep polishing.  D + A is positive semidefinite and iterates
 unshifted.
-
-What remains of the float64 floor: the cell sums are ~n-sized numbers, so
-at n ~ 10^6 (lambda ~ 5 * 10^5) the default tol of 1e-10 is 1-2 ulps of
-lambda and the residual can stall just above it (1.16e-10 for the signless
-solve of ``extremal:1000000,3,3`` and the adjacency solve of
-``extremal:999999,2,5``).
 """
 
 from __future__ import annotations
@@ -171,46 +171,34 @@ def _power(
     """Power iteration on M + shift*I, M = matvec, from the nonnegative
     start x (max entry 1), with the residual contract.
 
-    The iterate stays normalized to max entry 1, so the reported residual is
-    exactly ||Mx - lambda*x||_inf for the returned vector.  Entry i stands
-    for weights[i] vertices of equal value, and lambda is the Rayleigh
-    quotient of that expanded vector.
-
-    Where lambda is ~n, tol is about one ulp of lambda, and the loop can
-    settle on a short cycle of float iterates (a fixed point, or a period of
-    2 or 3) whose residual is one ulp too large and will never move again;
-    which cycle next to the Perron vector it reaches decides that, not the
-    start's accuracy.  A loop that started off all-ones finds such a cycle
-    by comparing each iterate with the one saved at the last power of two
-    (Brent), and then restarts once from all-ones with what is left of
-    max_iters, from where it runs step for step as the all-ones start does.
+    The loop runs in the dtype of x: the products with M, the weights,
+    lambda and the residual all promote to it, so a ``np.longdouble`` start
+    iterates in extended precision on the float64 matrix (whose entries are
+    integers, exact in float64).  The iterate stays normalized to max entry
+    1, and the reported residual is exactly ||Mx - lambda*x||_inf of that
+    iterate; the vector handed back is the iterate rounded to float64.
+    Entry i stands for weights[i] vertices of equal value, and lambda is
+    the Rayleigh quotient of that expanded vector.
     """
     n = len(weights)
     lam = 0.0
     resid = np.inf
-    restart = not (x == 1.0).all()
-    mark, span, age = x, 1, 0
     for it in range(1, max_iters + 1):
         y = matvec(x)
         wx = weights * x
-        lam = float(wx @ y) / float(wx @ x)
+        lam = (wx @ y) / (wx @ x)
         resid = float(np.max(np.abs(y - lam * x)))
         if resid <= tol:
-            return lam, x, resid, it
+            return float(lam), x.astype(float), resid, it
         x = y + shift * x
-        top = float(x.max())
+        top = x.max()
         if top <= 0.0:
             # all-zero row pattern; cannot happen on a connected component
             return 0.0, np.ones(n), 0.0, it
         x = x / top
-        if restart:
-            if np.array_equal(x, mark):
-                x, restart = np.ones(n), False
-            elif (age := age + 1) == span:
-                mark, span, age = x, 2 * span, 0
     raise ConvergenceError(
         f"residual {resid:.3e} > tol {tol:.3e} after {max_iters} iterations",
-        SpectrumResult(lam=lam, vector=x, residual=resid, iterations=max_iters),
+        SpectrumResult(lam=float(lam), vector=x.astype(float), residual=resid, iterations=max_iters),
     )
 
 
@@ -224,7 +212,9 @@ def _seed(piece: _Piece, diagonal: np.ndarray | None) -> np.ndarray:
     cells with one closed neighbourhood (true twins), whose Perron entries
     are equal; they get one value, since an ulp-level spread between them
     decays at a ratio near 1 and holds the residual above tol where lambda
-    is ~n.  A piece of more than SEED_MAX_CELLS cells starts from all-ones.
+    is ~n.  The seed is returned as ``np.longdouble``, so ``_power``
+    polishes it in extended precision.  A piece of more than SEED_MAX_CELLS
+    cells starts from float64 all-ones.
     """
     if len(piece.sizes) > SEED_MAX_CELLS:
         return np.ones(len(piece.sizes))
@@ -236,7 +226,7 @@ def _seed(piece: _Piece, diagonal: np.ndarray | None) -> np.ndarray:
     first: dict[bytes, int] = {}
     closed = piece.matrix + np.eye(len(x))
     x = x[[first.setdefault(row.tobytes(), i) for i, row in enumerate(closed)]]
-    return x / x.max()
+    return (x / x.max()).astype(np.longdouble)
 
 
 def _check_tol(tol: float) -> None:

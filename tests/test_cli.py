@@ -96,12 +96,25 @@ class TestLambda:
         assert code == 3
         assert "residual" in err
 
-    def test_large_structured_default_tol_converges(self):
-        # the default tol at n = 10^5 is reachable because each step sums
-        # a handful of weighted cell values; a sum over the 10^5 vertex
-        # values rounds to residuals above 1e-10
+    @pytest.mark.parametrize(
+        "cmd, spec, lam",
+        [
+            ("lambda", "extremal:100000,3,3", 50000.00012),
+            ("lambda", "extremal:1000000,3,3", 500000.000012),
+            ("qlambda", "extremal:1000000,3,3", 1000000.00002),
+            ("lambda", "split:1000000,3", 1733.04849817),
+            ("qlambda", "split:1000000,3", 1000003.99999),
+        ],
+        ids=["lambda-extremal-1e5", "lambda-extremal-1e6", "qlambda-extremal-1e6",
+             "lambda-split-1e6", "qlambda-split-1e6"],
+    )
+    def test_large_structured_default_tol_converges(self, cmd, spec, lam):
+        # the default tol is reachable because each step sums a handful of
+        # weighted cell values; a sum over the 10^5 vertex values rounds to
+        # residuals above 1e-10.  At n = 10^6 it is 1-2 ulps of lambda in
+        # float64, and the seeded solve polishes in extended precision.
         proc = subprocess.run(
-            [sys.executable, "-m", "fanspec.cli", "lambda", "--construct", "extremal:100000,3,3"],
+            [sys.executable, "-m", "fanspec.cli", cmd, "--construct", spec],
             capture_output=True,
             text=True,
             timeout=60,
@@ -109,7 +122,7 @@ class TestLambda:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         d = json.loads(proc.stdout)
         assert d["residual"] <= 1e-10
-        assert d["lambda"] == pytest.approx(50000.00012, abs=1e-5)
+        assert d["lambda"] == pytest.approx(lam, abs=1e-5)
 
     def test_sweep_csv(self):
         code, out, _ = run_cli(
@@ -119,6 +132,11 @@ class TestLambda:
         assert lines[0] == "n,lambda,residual,iterations"
         assert len(lines) == 4
         assert lines[1].split(",")[0] == "50"
+
+    def test_sweep_negative_step_counts_down(self):
+        code, out, _ = run_cli(["lambda", "--construct", "turan:{n},2", "--sweep", "n=5:-1:3"])
+        assert code == 0
+        assert [ln.split(",")[0] for ln in out.strip().splitlines()[1:]] == ["5", "4", "3"]
 
     def test_qlambda(self):
         code, out, _ = run_cli(["qlambda", "--construct", "multipartite:1,1,1,1"])
@@ -266,6 +284,8 @@ class TestHelpAndErrors:
             ["lambda", "--construct", "ch:4", "--tol", "inf"],
             ["brute", "--n", "4", "--k", "1", "--r", "3", "--mode", "lambda", "--tol", "inf"],
             ["brute", "--n", "8", "--k", "2", "--r", "3", "--mode", "lambda", "--tol", "-1"],
+            ["brute", "--n", "4", "--k", "1", "--r", "3", "--tol", "-1", "--mode", "edges"],
+            ["lambda", "--construct", "turan:{n},2", "--sweep", "n=5:0:3"],
             ["family", "--n", "450", "--k", "3", "--r", "3", "--tol", "-1"],
             ["verify", "--n", "8", "--k", "2", "--r", "3", "--tol", "0"],
             ["brute", "--n", "5", "--k", "1", "--r", "3", "--checkpoint-every", "5"],

@@ -114,7 +114,7 @@ class TestSpectralRadius:
 
     def test_iteration_budget_error_carries_result(self):
         # the seeded loop converges in a step or two at any reachable tol,
-        # so a tol below the float64 floor forces the budget to run out
+        # so a tol below the rounding floor forces the budget to run out
         with pytest.raises(ConvergenceError) as info:
             spectral_radius(path_graph(30), tol=1e-300, max_iters=3)
         assert info.value.result.iterations == 3
@@ -333,29 +333,40 @@ class TestSeededSolve:
         pieces = sum(len(list(_pieces(g))) for g in free)
         assert steps <= 2 * pieces
 
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+        reason="long double is float64 on this platform, so the seeded loop "
+        "polishes in float64 and can stall one ulp above the default tol",
+    )
     @pytest.mark.parametrize(
-        "n, spec, solve, period",
+        "n, spec, solve",
         [
-            (999999, (2, 5), signless_laplacian_spectrum, 1),
-            (749436, (2, 5), signless_laplacian_spectrum, 2),
-            (734143, (3, 3), spectral_radius, 2),
-            (574341, (2, 5), signless_laplacian_spectrum, 3),
+            (999999, (2, 5), signless_laplacian_spectrum),
+            (749436, (2, 5), signless_laplacian_spectrum),
+            (734143, (3, 3), spectral_radius),
+            (574341, (2, 5), signless_laplacian_spectrum),
+            (1000000, (3, 3), spectral_radius),
+            (1000000, (3, 3), signless_laplacian_spectrum),
         ],
     )
-    def test_stalled_seed_restarts_from_all_ones(self, n, spec, solve, period):
-        # lambda ~ n puts the default tol at about one ulp of lambda; from the
-        # seed these solves settle on a cycle of float iterates of the given
-        # period with a residual one ulp too large, where the all-ones start
-        # reaches a residual within tol.  The restart then follows the
-        # all-ones run step for step.
+    def test_stalled_seed_restarts_from_all_ones(self, n, spec, solve):
+        # lambda ~ n puts the default tol at 1-2 ulps of lambda in float64.
+        # A float64 loop from the seed stalls one ulp above tol on the first
+        # four (a cycle of float iterates of period 1, 2, 2 and 3, left only
+        # by a restart from all-ones), and the all-ones loop stalls on the
+        # last two.  Polished in extended precision, each converges from the
+        # seed in a few steps, to the all-ones answer where that converges.
         g = extremal_fan_graph(n, spec)[0]
-        seeded = solve(g)
+        seeded = solve(g, max_iters=100)
+        assert seeded.residual <= 1e-10
+        assert seeded.iterations <= 20
         with mock.patch("fanspec.spectral._power", _unseeded):
-            plain = solve(g)
-        assert seeded.residual == plain.residual <= 1e-10
-        assert seeded.lam == plain.lam
-        assert np.array_equal(seeded.vector, plain.vector)
-        assert seeded.iterations > plain.iterations + period
+            try:
+                plain = solve(g, max_iters=100)
+            except ConvergenceError:
+                return  # the float64 floor
+        assert seeded.lam == pytest.approx(plain.lam, rel=1e-15)
+        assert np.allclose(seeded.vector, plain.vector, rtol=0, atol=1e-14)
 
     def test_seed_agrees_with_unseeded_loop(self):
         # the same solve from the all-ones start of the plain power loop,

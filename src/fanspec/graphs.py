@@ -509,18 +509,7 @@ class StructuredGraph:
 
     def to_graph(self) -> Graph:
         """Densify.  Cost is O(n^2 / 64) words; fine up to a few thousand."""
-        full = (1 << self.n) - 1
-        part_masks = []
-        for i, s in enumerate(self.sizes):
-            m = ((1 << s) - 1) << self._offsets[i]
-            part_masks.append(m)
-        rows = []
-        for v in range(self.n):
-            rows.append(full ^ part_masks[self.part_of(v)])
-        for a, b in self.patch:
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
-        return Graph._from_rows_unchecked(tuple(rows))
+        return Graph._from_rows_unchecked(_multipartite_rows(self.sizes, self.patch))
 
     def __repr__(self) -> str:
         return f"StructuredGraph(sizes={self.sizes}, patch_edges={len(self.patch)})"

@@ -17,31 +17,39 @@ key, not to rounding.  Components are taken by lowest vertex, and the first
 one wins ties; an edgeless graph gives e_0.  The patch-free quotient is the
 equation sum_i n_i / (lambda + n_i) = 1 of ``multipartite_spectral_radius``.
 
+The one operator: B is never formed.  ``_quotient`` applies it as
+Bx = (s^T x) * 1 - Cx, where C holds the non-neighbours of each cell (the
+cell itself included) weighted by their sizes: a rank-one term plus a
+sparse one, O(#cells + #non-edges) per step, in the dtype of x.  The cell
+graph of a near-multipartite graph is nearly complete, so C is small
+where B is large (2,000 entries for ``turan:100000,2000``, against 4*10^6
+for B).  ``rayleigh_quotient`` reads the same cell adjacency.
+
 The seed: with D = diag(sizes), B is similar to the symmetric
 D^1/2 B D^-1/2 = A_sub * sqrt(s_i s_j) (plus diag(degrees) for D + A), and
 one ``eigh`` of that small matrix gives the Perron pair.  Its top
 eigenvector, mapped back by D^-1/2, taken in absolute value and scaled to
 max entry 1, is the start of the power loop ``_power`` (``_seed``, which
-also gives true-twin cells one value, as the all-ones start did).  Above
+also gives true-twin cells one value, as the all-ones start does).  Above
 ``SEED_MAX_CELLS`` cells (many-part graphs) the O(p^3) ``eigh`` costs more
-than the steps it saves, and the loop starts from all-ones as before.
+than the steps it saves, and the loop starts from all-ones.
 
 The polishing loop: ``_power`` keeps the residual contract and runs in
-the dtype of its start.  The seed is ``np.longdouble``, so on a seeded
-piece the products with the float64 quotient (integer entries, exact in
-float64), the weights, lambda and the residual promote to extended
-precision.  Lambda is the Rayleigh quotient of the expanded vector, and
-convergence is judged by the infinity-norm eigen-residual
-||Mx - lambda*x|| of the extended-precision cell iterate (max entry 1),
-not by iterate distance and never taken from ``eigh``; the returned
-vector is that iterate rounded to float64.  Where lambda is ~n ~ 10^6 the
-default tol of 1e-10 is 1-2 ulps of lambda in float64 but about 10^3 in
-the 64-bit significand of x86 extended precision, so a seeded solve
-polishes to tol in a few steps instead of stalling one ulp above it.  A
-piece above ``SEED_MAX_CELLS`` starts from float64 all-ones and stays in
-float64, as before.  Where ``long double`` is float64 (some platforms)
-the old floor returns, as a ``ConvergenceError`` (exit 3), never as a
-wrong lambda; ``max_iters`` and ``ConvergenceError`` mean what they did.
+the dtype of its start, which is ``np.longdouble`` for every piece, seeded
+or not: the products with the operator (whose entries are integers), the
+weights, lambda and the residual are all in extended precision.  numpy has
+no BLAS kernel for ``longdouble``, and the operator needs none.  Lambda is
+the Rayleigh quotient of the expanded vector, and convergence is judged by
+the infinity-norm eigen-residual ||Mx - lambda*x|| of the
+extended-precision cell iterate (max entry 1), not by iterate distance and
+never taken from ``eigh``; the returned vector is that iterate rounded to
+float64.  Where lambda is ~n ~ 10^6 the default tol of 1e-10 is 1-2 ulps
+of lambda in float64 but about 10^3 in the 64-bit significand of x86
+extended precision, so a solve polishes to tol in a few steps (at most 48
+from all-ones on 50-80 unequal parts) instead of stalling one ulp above it.
+Where ``long double`` is float64 (some platforms) the old floor returns, as
+a ``ConvergenceError`` (exit 3), never as a wrong lambda; ``max_iters`` and
+``ConvergenceError`` mean what they did.
 
 Why the shift stays: the loop runs on A + cI with c = max(1, maxdeg/2), so
 connected graphs give a primitive matrix (no +/-lambda oscillation on
@@ -64,16 +72,17 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .families import FanSpec, PartitionSizes, fanspec_of, partition_sizes_of
-from .graphs import AnyGraph, Graph, StructuredGraph, _mask_bits
+from .graphs import AnyGraph, Graph, _mask_bits
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 10**6
-# ``eigh`` costs O(p^3) for p cells, a power step O(p^2).  Timed on eight
-# solves per cell count (lambda and qlambda on Turan, extremal, unequal
-# multipartite and split graphs, n = 10^5; 2-core x86-64 host), the seeded
-# solve is faster in the median at 48 cells (0.92 of the all-ones time,
-# 7 of 8 faster) and slower from 64 on (1.15, 1.60, 1.88 and 4.2 at 64,
-# 80, 128 and 256 cells); BENCH_direct_quotient.json, "seed_cap_crossover"
+# ``eigh`` costs O(p^3) for p cells and saves power steps.  Timed with a
+# dense O(p^2) step on eight solves per cell count (lambda and qlambda on
+# Turan, extremal, unequal multipartite and split graphs, n = 10^5; 2-core
+# x86-64 host), the seeded solve is faster in the median at 48 cells (0.92
+# of the all-ones time, 7 of 8 faster) and slower from 64 on (1.15, 1.60,
+# 1.88 and 4.2 at 64, 80, 128 and 256 cells); BENCH_direct_quotient.json,
+# "seed_cap_crossover"
 SEED_MAX_CELLS = 48
 
 
@@ -96,52 +105,50 @@ class ConvergenceError(RuntimeError):
         self.result = result
 
 
-def _dense_adjacency(g: Graph) -> np.ndarray:
-    width = (g.n + 7) // 8
-    raw = b"".join(row.to_bytes(width, "little") for row in g.rows)
+def _dense_adjacency(rows: tuple[int, ...]) -> np.ndarray:
+    """The boolean adjacency matrix of the bitmask rows."""
+    n = len(rows)
+    width = (n + 7) // 8
+    raw = b"".join(row.to_bytes(width, "little") for row in rows)
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return bits.reshape(g.n, 8 * width)[:, : g.n].astype(float)
-
-
-def _matvec(g: AnyGraph) -> Callable[[np.ndarray], np.ndarray]:
-    """Adjacency operator x -> Ax on arbitrary vectors, O(n + #patch) per
-    call for a ``StructuredGraph``: the sum of x minus its part's sum, plus
-    the patch."""
-    if not isinstance(g, StructuredGraph):
-        return _dense_adjacency(g).__matmul__
-    parts = np.repeat(np.arange(len(g.sizes), dtype=np.intp), g.sizes)
-    pa, pb = np.array(sorted(g.patch), dtype=np.intp).reshape(-1, 2).T
-
-    def matvec(x: np.ndarray) -> np.ndarray:
-        y = x.sum() - np.bincount(parts, weights=x, minlength=len(g.sizes))[parts]
-        np.add.at(y, pa, x[pb])
-        np.add.at(y, pb, x[pa])
-        return y
-
-    return matvec
+    return bits.reshape(n, 8 * width)[:, :n].astype(bool)
 
 
 class _Piece(NamedTuple):
-    """A connected component as the power iteration sees it: the quotient
-    matrix on its twin cells (entry (i, j) counts the neighbours a vertex of
-    cell i has in cell j), the cell sizes, and the map of cell values to
-    the n-vector."""
+    """A connected component as the power iteration sees it: the boolean
+    adjacency of its twin cells, the cell sizes, the quotient operator
+    x -> Bx (entry (i, j) of B counts the neighbours a vertex of cell i has
+    in cell j, so B = adjacency * sizes), and the map of cell values to the
+    n-vector."""
 
-    matrix: np.ndarray
+    adjacency: np.ndarray
     sizes: np.ndarray
+    matvec: Callable[[np.ndarray], np.ndarray]
     expand: Callable[[np.ndarray], np.ndarray]
+
+
+def _quotient(adjacency: np.ndarray, sizes: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> Bx as (s^T x) * 1 - Cx, where C holds the non-neighbours of each
+    cell, the cell itself included: O(#cells + #non-edges) per call, in the
+    dtype of x.  numpy has no BLAS kernel for ``longdouble``, and this needs
+    none; the cell graph of a near-multipartite graph is nearly complete, so
+    C is small where B is large."""
+    rows, cols = np.nonzero(~adjacency)
+    # every row holds its own cell, so no run of ``reduceat`` is empty
+    starts = rows.searchsorted(np.arange(len(sizes)))
+    weights = sizes[cols]
+    return lambda x: sizes @ x - np.add.reduceat(weights * x[cols], starts)
 
 
 def _pieces(g: AnyGraph) -> Iterator[_Piece]:
     """The components with an edge, by lowest vertex: the components of the
     cell graph with two cells or more.  An iterate constant on every cell
     stays so, so the iteration on cell values with cell-size weights is the
-    vertex iteration, step for step, at O(#cells^2) per step; only
-    ``expand`` costs O(n)."""
+    vertex iteration, step for step; only ``expand`` costs O(n)."""
     cells = g.twin_cells()
     cell_graph = Graph._from_rows_unchecked(cells.rows)
+    adjacency = _dense_adjacency(cells.rows)
     sizes = np.array(cells.sizes, dtype=float)
-    quotient = _dense_adjacency(cell_graph) * sizes
     run_cells = np.array([c for _, _, c in cells.runs], dtype=np.intp)
     run_lengths = [stop - start for start, stop, _ in cells.runs]
     lowest = [0] * len(sizes)
@@ -157,7 +164,8 @@ def _pieces(g: AnyGraph) -> Iterator[_Piece]:
             values[comp] = x
             return np.repeat(values[run_cells], run_lengths)
 
-        yield _Piece(quotient.take(comp, axis=0).take(comp, axis=1), sizes[comp], expand)
+        sub, sub_sizes = adjacency.take(comp, axis=0).take(comp, axis=1), sizes[comp]
+        yield _Piece(sub, sub_sizes, _quotient(sub, sub_sizes), expand)
 
 
 def _power(
@@ -172,15 +180,16 @@ def _power(
     start x (max entry 1), with the residual contract.
 
     The loop runs in the dtype of x: the products with M, the weights,
-    lambda and the residual all promote to it, so a ``np.longdouble`` start
-    iterates in extended precision on the float64 matrix (whose entries are
-    integers, exact in float64).  The iterate stays normalized to max entry
-    1, and the reported residual is exactly ||Mx - lambda*x||_inf of that
-    iterate; the vector handed back is the iterate rounded to float64.
-    Entry i stands for weights[i] vertices of equal value, and lambda is
-    the Rayleigh quotient of that expanded vector.
+    lambda and the residual all follow it, so the ``np.longdouble`` start
+    of every solve iterates in extended precision.  The iterate stays
+    normalized to max entry 1, and the reported residual is exactly
+    ||Mx - lambda*x||_inf of that iterate; the vector handed back is the
+    iterate rounded to float64.  Entry i stands for weights[i] vertices of
+    equal value, and lambda is the Rayleigh quotient of that expanded
+    vector.  The normalizing maximum is positive: the iterate has an entry
+    equal to 1, and M is nonnegative with shift >= 1 or (for D + A) a
+    positive diagonal on a component with an edge.
     """
-    n = len(weights)
     lam = 0.0
     resid = np.inf
     for it in range(1, max_iters + 1):
@@ -191,11 +200,7 @@ def _power(
         if resid <= tol:
             return float(lam), x.astype(float), resid, it
         x = y + shift * x
-        top = x.max()
-        if top <= 0.0:
-            # all-zero row pattern; cannot happen on a connected component
-            return 0.0, np.ones(n), 0.0, it
-        x = x / top
+        x = x / x.max()
     raise ConvergenceError(
         f"residual {resid:.3e} > tol {tol:.3e} after {max_iters} iterations",
         SpectrumResult(lam=float(lam), vector=x.astype(float), residual=resid, iterations=max_iters),
@@ -203,28 +208,29 @@ def _power(
 
 
 def _seed(piece: _Piece, diagonal: np.ndarray | None) -> np.ndarray:
-    """Start vector of the power loop: the Perron vector of the quotient B
-    (plus `diagonal`), nonnegative with max entry 1.
+    """Start vector of the power loop, as ``np.longdouble`` with max entry
+    1: the Perron vector of the quotient B (plus `diagonal`) for a piece of
+    at most SEED_MAX_CELLS cells, all-ones above.
 
-    B = A_sub * sizes is similar to the symmetric D^1/2 B D^-1/2 =
-    A_sub * sqrt(s_i s_j), D = diag(sizes), so one ``eigh`` gives its top
-    eigenvector, mapped back by D^-1/2.  Equal rows of B + I are singleton
-    cells with one closed neighbourhood (true twins), whose Perron entries
-    are equal; they get one value, since an ulp-level spread between them
-    decays at a ratio near 1 and holds the residual above tol where lambda
-    is ~n.  The seed is returned as ``np.longdouble``, so ``_power``
-    polishes it in extended precision.  A piece of more than SEED_MAX_CELLS
-    cells starts from float64 all-ones.
+    B = adjacency * sizes is similar to the symmetric D^1/2 B D^-1/2 =
+    adjacency * sqrt(s_i s_j), D = diag(sizes), so one ``eigh`` gives its
+    top eigenvector, mapped back by D^-1/2.  Equal rows of B + I are
+    singleton cells with one closed neighbourhood (true twins), whose Perron
+    entries are equal; they get one value, since an ulp-level spread between
+    them decays at a ratio near 1 and holds the residual above tol where
+    lambda is ~n.  The rows are size-weighted: two adjacent cells with one
+    closed neighbourhood in the cell graph are true twins only when both
+    are singletons.
     """
     if len(piece.sizes) > SEED_MAX_CELLS:
-        return np.ones(len(piece.sizes))
+        return np.ones(len(piece.sizes), dtype=np.longdouble)
     root = np.sqrt(piece.sizes)
-    sym = piece.matrix / piece.sizes * np.outer(root, root)
+    sym = piece.adjacency * np.outer(root, root)
     if diagonal is not None:
         sym += np.diag(diagonal)
     x = np.abs(np.linalg.eigh(sym)[1][:, -1] / root)
     first: dict[bytes, int] = {}
-    closed = piece.matrix + np.eye(len(x))
+    closed = piece.adjacency * piece.sizes + np.eye(len(x))
     x = x[[first.setdefault(row.tobytes(), i) for i, row in enumerate(closed)]]
     return (x / x.max()).astype(np.longdouble)
 
@@ -245,12 +251,12 @@ def _spectrum(g: AnyGraph, tol: float, max_iters: int, signless: bool) -> Spectr
     best = None
     total_its = 0
     for piece in _pieces(g):
-        degrees = piece.matrix.sum(axis=1)
+        degrees = piece.matvec(np.ones(len(piece.sizes)))
         if signless:
             # D + A is positive semidefinite; plain iteration, no shift
-            matvec, shift = (lambda x: piece.matrix @ x + degrees * x), 0.0
+            matvec, shift = (lambda x: piece.matvec(x) + degrees * x), 0.0
         else:
-            matvec, shift = piece.matrix.__matmul__, max(1.0, float(degrees.max()) / 2)
+            matvec, shift = piece.matvec, max(1.0, float(degrees.max()) / 2)
         start = _seed(piece, degrees if signless else None)
         try:
             lam, vec, resid, its = _power(matvec, piece.sizes, start, tol, max_iters, shift)
@@ -284,7 +290,11 @@ def signless_laplacian_spectrum(
 
 
 def rayleigh_quotient(g: AnyGraph, x) -> float:
-    """(2 sum_{uv in E} x_u x_v) / (sum_v x_v^2); at most the spectral radius."""
+    """(2 sum_{uv in E} x_u x_v) / (sum_v x_v^2); at most the spectral radius.
+
+    The numerator is S^T A_cell S on the sums S of x over the twin cells:
+    cells are independent sets, and two cells are joined completely or not
+    at all."""
     vec = np.asarray(x, dtype=float)
     n = g.n
     if vec.shape != (n,):
@@ -292,7 +302,10 @@ def rayleigh_quotient(g: AnyGraph, x) -> float:
     den = float(vec @ vec)
     if den == 0.0:
         raise ValueError("Rayleigh quotient undefined for the zero vector")
-    return float(vec @ _matvec(g)(vec)) / den
+    cells = g.twin_cells()
+    run_sums = np.add.reduceat(vec, [start for start, _, _ in cells.runs])
+    sums = np.bincount([c for _, _, c in cells.runs], run_sums, len(cells.sizes))
+    return float(sums @ _dense_adjacency(cells.rows) @ sums) / den
 
 
 def multipartite_spectral_radius(
@@ -364,13 +377,11 @@ class PerronBoundReport:
 
 
 def perron_entry_bound_check(
-    g: AnyGraph, spec: FanSpec | tuple[int, int], tol: float = 1e-8
+    g: AnyGraph, spec: FanSpec | tuple[int, int], tol: float = DEFAULT_TOL
 ) -> PerronBoundReport:
     """Smallest Perron entry (max-1 normalization) against 1 - 20k^2r^2/n.
 
-    Requires a connected graph.  The default tolerance is looser than the
-    spectral default because at thousands of vertices the absolute residual
-    floor of float64 scales with lambda; the bound margin dwarfs it."""
+    Requires a connected graph."""
     spec = fanspec_of(spec)
     if not g.is_connected():
         raise ValueError("graph must be connected")

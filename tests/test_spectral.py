@@ -31,7 +31,7 @@ from fanspec import (
     turan_graph,
 )
 from fanspec.families import embed_in_part
-from fanspec.spectral import SEED_MAX_CELLS, _matvec, _pieces, _power
+from fanspec.spectral import SEED_MAX_CELLS, _pieces, _power
 
 
 def random_graph(n, p, rng):
@@ -148,9 +148,9 @@ class TestSpectralRadius:
                 assert res_s.residual == pytest.approx(resid, abs=1e-9)
                 assert abs(res_s.iterations - res_d.iterations) <= 1
             for x in (spectral_radius(sg).vector, rng.uniform(-1, 1, sg.n)):
-                assert rayleigh_quotient(sg, x) == pytest.approx(
-                    rayleigh_quotient(dense, x), abs=1e-9
-                )
+                naive = x @ _adjacency(dense) @ x / (x @ x)
+                assert rayleigh_quotient(sg, x) == pytest.approx(naive, abs=1e-9)
+                assert rayleigh_quotient(dense, x) == pytest.approx(naive, abs=1e-9)
 
     def test_equal_parts_are_interchangeable(self):
         # the same patch in any of several equal parts gives bit-identical
@@ -257,10 +257,12 @@ class TestSpectralRadius:
                 assert lam == pytest.approx(ref, abs=1e-9 * n)
 
     def test_operator_degrees_match_degree_list(self):
-        # the solver reads degrees off the operator as A*1
+        # the solver reads degrees off the quotient operator as B*1
         sg, _ = extremal_fan_graph(301, (3, 3))
         for g in (sg, sg.to_graph(), petersen()):
-            assert _matvec(g)(np.ones(g.n)).tolist() == [float(d) for d in g.degrees()]
+            (piece,) = _pieces(g)
+            degrees = piece.expand(piece.matvec(np.ones(len(piece.sizes))))
+            assert degrees.tolist() == [float(d) for d in g.degrees()]
 
     def test_single_part_constructions_are_dense(self):
         for g in (turan_graph(100, 1), complete_multipartite([100])[0], split_graph(100, 0)):
@@ -295,7 +297,7 @@ class TestSpectralRadius:
 
 def _unseeded(matvec, weights, x, *rest):
     """The power loop from the all-ones start, in place of the seed."""
-    return _power(matvec, weights, np.ones(len(weights)), *rest)
+    return _power(matvec, weights, np.ones(len(weights), dtype=np.longdouble), *rest)
 
 
 class TestSeededSolve:
@@ -318,12 +320,37 @@ class TestSeededSolve:
             assert set(res.vector[-k:].tolist()) == {1.0}
 
     def test_many_cells_start_from_all_ones(self):
-        # eigh is O(p^3): a piece of more than SEED_MAX_CELLS cells skips it,
-        # and a balanced Turan graph is solved exactly in one step
+        # eigh is O(p^3): a piece of more than SEED_MAX_CELLS cells skips it
+        # and starts from long-double all-ones, and a balanced Turan graph
+        # is solved exactly in one step
         p = SEED_MAX_CELLS + 1
-        with mock.patch("numpy.linalg.eigh", side_effect=AssertionError):
+        starts = []
+
+        def power(matvec, weights, x, *rest):
+            starts.append(x)
+            return _power(matvec, weights, x, *rest)
+
+        with mock.patch("numpy.linalg.eigh", side_effect=AssertionError), mock.patch(
+            "fanspec.spectral._power", power
+        ):
             res = spectral_radius(turan_graph(2 * p, p))
         assert (res.lam, res.residual, res.iterations) == (2 * p - 2, 0.0, 1)
+        (start,) = starts
+        assert start.dtype == np.longdouble and start.tolist() == [1.0] * p
+
+    def test_many_parts_converge_at_default_tol(self):
+        # 50-80 unequal parts (n ~ 10^6) are more than SEED_MAX_CELLS cells;
+        # a float64 all-ones loop stopped at the cap on 22 of these 24
+        # solves, one ulp above the default tol
+        rng = random.Random(5)
+        for _ in range(12):
+            sizes = [rng.randint(10**4, 2 * 10**4) for _ in range(rng.randint(50, 80))]
+            sg = StructuredGraph(sizes)
+            lam = spectral_radius(sg, max_iters=6000).lam
+            assert lam == pytest.approx(multipartite_spectral_radius(sizes), rel=1e-12)
+            # q x_i = (n - 2 s_i) x_i + sum_j s_j x_j on the parts of D + A
+            q = signless_laplacian_spectrum(sg, max_iters=6000).lam
+            assert math.fsum(s / (q - sg.n + 2 * s) for s in sizes) == pytest.approx(1, abs=1e-12)
 
     def test_fan_free_classes_at_seven(self):
         # the 400 solves of the enum7 job: 17,930 steps from all-ones
@@ -335,7 +362,7 @@ class TestSeededSolve:
 
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps >= np.finfo(float).eps,
-        reason="long double is float64 on this platform, so the seeded loop "
+        reason="long double is float64 on this platform, so the loop "
         "polishes in float64 and can stall one ulp above the default tol",
     )
     @pytest.mark.parametrize(
@@ -349,22 +376,19 @@ class TestSeededSolve:
             (1000000, (3, 3), signless_laplacian_spectrum),
         ],
     )
-    def test_stalled_seed_restarts_from_all_ones(self, n, spec, solve):
+    def test_float64_stalls_converge_in_long_double(self, n, spec, solve):
         # lambda ~ n puts the default tol at 1-2 ulps of lambda in float64.
-        # A float64 loop from the seed stalls one ulp above tol on the first
-        # four (a cycle of float iterates of period 1, 2, 2 and 3, left only
-        # by a restart from all-ones), and the all-ones loop stalls on the
-        # last two.  Polished in extended precision, each converges from the
-        # seed in a few steps, to the all-ones answer where that converges.
+        # A float64 loop from the seed stalled one ulp above tol on the first
+        # four (a cycle of float iterates of period 1, 2, 2 and 3), and the
+        # float64 all-ones loop on the last two.  In extended precision each
+        # converges from the seed in a few steps, and from all-ones to the
+        # same answer.
         g = extremal_fan_graph(n, spec)[0]
         seeded = solve(g, max_iters=100)
         assert seeded.residual <= 1e-10
         assert seeded.iterations <= 20
         with mock.patch("fanspec.spectral._power", _unseeded):
-            try:
-                plain = solve(g, max_iters=100)
-            except ConvergenceError:
-                return  # the float64 floor
+            plain = solve(g, max_iters=100)
         assert seeded.lam == pytest.approx(plain.lam, rel=1e-15)
         assert np.allclose(seeded.vector, plain.vector, rtol=0, atol=1e-14)
 

@@ -17,13 +17,16 @@ key, not to rounding.  Components are taken by lowest vertex, and the first
 one wins ties; an edgeless graph gives e_0.  The patch-free quotient is the
 equation sum_i n_i / (lambda + n_i) = 1 of ``multipartite_spectral_radius``.
 
-The one operator: B is never formed.  ``_quotient`` applies it as
-Bx = (s^T x) * 1 - Cx, where C holds the non-neighbours of each cell (the
-cell itself included) weighted by their sizes: a rank-one term plus a
-sparse one, O(#cells + #non-edges) per step, in the dtype of x.  The cell
-graph of a near-multipartite graph is nearly complete, so C is small
-where B is large (2,000 entries for ``turan:100000,2000``, against 4*10^6
-for B).  ``rayleigh_quotient`` reads the same cell adjacency.
+The one operator: B is never formed.  ``_quotient`` sums s_j x_j over
+whichever side of each cell is smaller in the piece: its neighbours, which
+gives Bx, or its non-neighbours (the cell itself included), which gives
+(s^T x) * 1 - Bx.  That is O(#cells + min(#edges, #non-edges)) per step, in
+the dtype of x.  The cell graph of a near-multipartite graph is nearly
+complete (2,000 non-edge terms for ``turan:100000,2000``, against 4*10^6
+entries of B), and that of a sparse dense ``Graph`` nearly empty; a cell
+graph near half density costs about p^2/2 terms a step, and numpy sums
+them in long double without BLAS.  ``rayleigh_quotient`` reads the same
+cell adjacency.
 
 The seed: with D = diag(sizes), B is similar to the symmetric
 D^1/2 B D^-1/2 = A_sub * sqrt(s_i s_j) (plus diag(degrees) for D + A), and
@@ -76,13 +79,16 @@ from .graphs import AnyGraph, Graph, _mask_bits
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 10**6
-# ``eigh`` costs O(p^3) for p cells and saves power steps.  Timed with a
-# dense O(p^2) step on eight solves per cell count (lambda and qlambda on
-# Turan, extremal, unequal multipartite and split graphs, n = 10^5; 2-core
-# x86-64 host), the seeded solve is faster in the median at 48 cells (0.92
-# of the all-ones time, 7 of 8 faster) and slower from 64 on (1.15, 1.60,
-# 1.88 and 4.2 at 64, 80, 128 and 256 cells); BENCH_direct_quotient.json,
-# "seed_cap_crossover"
+# ``eigh`` costs O(p^3) for p cells and saves power steps.  Timed with the
+# one operator on 16 solves per cell count (lambda and qlambda on unequal
+# complete multipartite graphs, which need the fewest steps from all-ones;
+# three runs, 2-core x86-64 host), the seeded solve takes 0.61-0.72 of the
+# all-ones time in the median at 48 cells and is faster in 47 of 48 solves;
+# at 64 cells 0.81-0.94, faster in 36 of 48, and the medians cross 1 near
+# 80.  The cap stays at 48, the largest count tried where the seed is
+# faster in nearly every solve; at 64 it is slower in a quarter of them, and
+# the median saving there is about 0.2 ms a solve.  BENCH_one_operator.json,
+# "seed_cap_check"
 SEED_MAX_CELLS = 48
 
 
@@ -128,16 +134,19 @@ class _Piece(NamedTuple):
 
 
 def _quotient(adjacency: np.ndarray, sizes: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> Bx as (s^T x) * 1 - Cx, where C holds the non-neighbours of each
-    cell, the cell itself included: O(#cells + #non-edges) per call, in the
-    dtype of x.  numpy has no BLAS kernel for ``longdouble``, and this needs
-    none; the cell graph of a near-multipartite graph is nearly complete, so
-    C is small where B is large."""
-    rows, cols = np.nonzero(~adjacency)
-    # every row holds its own cell, so no run of ``reduceat`` is empty
+    """x -> Bx from the sums of s_j x_j over the neighbours j of each cell,
+    or, where the neighbours are the majority, as (s^T x) * 1 less the sums
+    over the non-neighbours, the cell itself included: O(#cells +
+    min(#edges, #non-edges)) per call, in the dtype of x.  numpy has no BLAS
+    kernel for ``longdouble``, and this needs none."""
+    sparse = 2 * np.count_nonzero(adjacency) <= adjacency.size
+    rows, cols = np.nonzero(adjacency if sparse else ~adjacency)
+    # a cell of a piece has a neighbour and is its own non-neighbour, so no
+    # run of ``reduceat`` is empty
     starts = rows.searchsorted(np.arange(len(sizes)))
-    weights = sizes[cols]
-    return lambda x: sizes @ x - np.add.reduceat(weights * x[cols], starts)
+    if sparse:
+        return lambda x: np.add.reduceat((sizes * x)[cols], starts)
+    return lambda x: sizes @ x - np.add.reduceat((sizes * x)[cols], starts)
 
 
 def _pieces(g: AnyGraph) -> Iterator[_Piece]:
@@ -296,9 +305,8 @@ def rayleigh_quotient(g: AnyGraph, x) -> float:
     cells are independent sets, and two cells are joined completely or not
     at all."""
     vec = np.asarray(x, dtype=float)
-    n = g.n
-    if vec.shape != (n,):
-        raise ValueError(f"vector must have length {n}")
+    if vec.shape != (g.n,):
+        raise ValueError(f"vector must have length {g.n}")
     den = float(vec @ vec)
     if den == 0.0:
         raise ValueError("Rayleigh quotient undefined for the zero vector")
@@ -377,15 +385,19 @@ class PerronBoundReport:
 
 
 def perron_entry_bound_check(
-    g: AnyGraph, spec: FanSpec | tuple[int, int], tol: float = DEFAULT_TOL
+    g: AnyGraph,
+    spec: FanSpec | tuple[int, int],
+    tol: float = DEFAULT_TOL if np.finfo(np.longdouble).eps < np.finfo(float).eps else 1e-8,
 ) -> PerronBoundReport:
     """Smallest Perron entry (max-1 normalization) against 1 - 20k^2r^2/n.
 
-    Requires a connected graph."""
+    The default tol is DEFAULT_TOL where ``long double`` is wider than
+    float64, and 1e-8 where it is float64: there the loop polishes in
+    float64, and at n ~ 10^6 the default tol of 1e-10 is 1-2 ulps of lambda,
+    below what the loop can reach.  Requires a connected graph."""
     spec = fanspec_of(spec)
     if not g.is_connected():
         raise ValueError("graph must be connected")
-    res = spectral_radius(g, tol=tol)
-    min_entry = float(res.vector.min())
+    min_entry = float(spectral_radius(g, tol=tol).vector.min())
     bound = 1.0 - 20.0 * spec.k**2 * spec.r**2 / g.n
     return PerronBoundReport(min_entry=min_entry, bound=bound, holds=min_entry >= bound)

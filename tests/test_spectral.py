@@ -264,6 +264,21 @@ class TestSpectralRadius:
             degrees = piece.expand(piece.matvec(np.ones(len(piece.sizes))))
             assert degrees.tolist() == [float(d) for d in g.degrees()]
 
+    def test_operator_sums_the_smaller_side(self):
+        # the operator sums over the neighbours of each cell in a sparse cell
+        # graph and over the non-neighbours in a dense one; both give B x
+        rng = random.Random(12)
+        sides = set()
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+            for g in (random_graph(30, p, rng), random_structured(200, rng)):
+                for piece in _pieces(g):
+                    sides.add(2 * piece.adjacency.sum() <= piece.adjacency.size)
+                    x = np.array([rng.random() for _ in piece.sizes], dtype=np.longdouble)
+                    product = piece.matvec(x)
+                    assert product.dtype == np.longdouble
+                    assert np.allclose(product, (piece.adjacency * piece.sizes) @ x, rtol=1e-15, atol=0)
+        assert sides == {True, False}
+
     def test_single_part_constructions_are_dense(self):
         for g in (turan_graph(100, 1), complete_multipartite([100])[0], split_graph(100, 0)):
             assert isinstance(g, Graph) and g.n == 100 and g.edge_count == 0

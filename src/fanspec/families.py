@@ -19,10 +19,8 @@ from .graphs import (
     StructuredGraph,
     VertexPartition,
     _multipartite_rows,
-    complete_graph,
     consecutive_partition,
     empty_graph,
-    join,
 )
 
 
@@ -220,12 +218,8 @@ def extremal_fan_graph(
 
 
 def split_graph(n: int, k: int) -> AnyGraph:
-    """Clique on k vertices joined completely to an independent set on the
-    remaining n-k vertices."""
+    """Clique on vertices 0..k-1 joined completely to an independent set on
+    the remaining n-k vertices: k singleton parts, then one part."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    if n <= DENSE_KERNEL_LIMIT:
-        return join(complete_graph(k), empty_graph(n - k))
-    # large-n layout: the independent set is the big leading part, the
-    # clique is k singleton parts
-    return embed_in_part(([n - k] if n - k else []) + [1] * k, 0, ())
+    return embed_in_part([1] * k + ([n - k] if n - k else []), 0, ())

@@ -59,6 +59,23 @@ def _edge_count(rows: Sequence[int]) -> int:
     return sum(row.bit_count() for row in rows) // 2
 
 
+def _components(rows: Sequence[int], mask: int) -> list[int]:
+    """Vertex masks of the connected components of the subgraph induced on
+    `mask`, by lowest contained vertex."""
+    out = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            nxt = 0
+            for v in _mask_bits(frontier):
+                nxt |= rows[v]
+            frontier = nxt & mask & ~comp
+            comp |= frontier
+        out.append(comp)
+        mask &= ~comp
+    return out
+
+
 def _multipartite_rows(
     sizes: Sequence[int], patch: Iterable[tuple[int, int]]
 ) -> tuple[int, ...]:
@@ -198,22 +215,7 @@ class Graph:
 
     def components(self) -> list[int]:
         """Vertex masks of connected components, by lowest contained vertex."""
-        seen = 0
-        out = []
-        full = (1 << self.n) - 1
-        while seen != full:
-            start = ((~seen) & full) & -((~seen) & full)
-            comp = start
-            frontier = start
-            while frontier:
-                nxt = 0
-                for v in _mask_bits(frontier):
-                    nxt |= self.rows[v]
-                frontier = nxt & ~comp
-                comp |= frontier
-            out.append(comp)
-            seen |= comp
-        return out
+        return _components(self.rows, (1 << self.n) - 1)
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
@@ -435,9 +437,6 @@ class StructuredGraph:
         if not 0 <= v < self.n:
             raise ValueError("vertex out of range")
         return bisect_right(self._offsets, v) - 1
-
-    def part_range(self, i: int) -> range:
-        return range(self._offsets[i], self._offsets[i] + self.sizes[i])
 
     def edge_count(self) -> int:
         cross = (self.n * self.n - sum(s * s for s in self.sizes)) // 2

@@ -13,8 +13,8 @@ or labeled; only the rest are labeled.  The rule stays exactly-once
 because the invariant and the canonical labels are both
 isomorphism-equivariant, so the deletion vertex is fixed up to
 automorphism by the child's class alone.  The acceptance test is local to
-a parent, so no global seen set is needed and the last level splits into
-independent parent batches for the worker pool.  Accepted children are
+a parent, so no global seen set is needed and the parents of the last
+level are independent tasks for the worker pool.  Accepted children are
 stored as canonical rows, so each level is the sorted list of its classes'
 canonical forms whichever parent emitted them.
 
@@ -39,6 +39,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Sequence
 
 # unused here; kept bound because perfbench/tracing.py rebinds oracle.canonical_form
@@ -233,51 +234,33 @@ def _formula_or_none(n: int, spec: FanSpec) -> FormulaResult | None:
 # --- exhaustive extremal search ---------------------------------------------
 
 
-def _scan_extremal_batch(args) -> dict:
-    """Worker: evaluate all final-level children of a parent batch.
+def _scan_extremal_parent(
+    rows: tuple[int, ...], spec: FanSpec, mode: str, tol: float
+) -> tuple[int, list[tuple[float | int, tuple[int, ...]]]]:
+    """Worker: the number of final-level children of one parent, and
+    (value, rows) for each fan-free child.
 
     The augmentation acceptance test is exactly-once per isomorphism class
-    across all parents, so per-parent batches partition the class space."""
-    parent_batch, k, r, mode, tol = args
-    spec = FanSpec(k, r)
-    examined = 0
-    free = 0
-    best = None
-    cands: list[tuple[str, float | int]] = []
-    for rows in parent_batch:
-        for crows in _children_of_parent_aug(rows, None):
-            examined += 1
-            g = Graph._from_rows_unchecked(crows)
-            if contains_fan(g, spec) is not None:
-                continue
-            free += 1
-            if mode == "edges":
-                value: float | int = g.edge_count
-            else:
-                value = spectral_radius(g, tol=tol).lam
-            if best is None or value > best:
-                best = value
-            window = 0 if mode == "edges" else LAMBDA_WITNESS_WINDOW
-            if value >= best - window:
-                cands.append((to_graph6(g), value))
-                cands = [(s, v) for s, v in cands if v >= best - window]
-    return {"examined": examined, "free": free, "best": best, "cands": cands}
+    across all parents, so the parents partition the class space."""
+    children = _children_of_parent_aug(rows, None)
+    free = []
+    for crows in children:
+        g = Graph._from_rows_unchecked(crows)
+        if contains_fan(g, spec) is None:
+            value = g.edge_count if mode == "edges" else spectral_radius(g, tol=tol).lam
+            free.append((value, crows))
+    return len(children), free
 
 
-def _chunks(items: list, size: int) -> list[list]:
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
-def _map_batches(fn, tasks: list, jobs: int) -> Iterator:
+def _map(fn, tasks: Sequence, jobs: int) -> Iterator:
+    """fn over tasks, results in task order: the builtin map at one job,
+    else a pool's imap in chunks sized as Pool.map sizes them (about four
+    per worker)."""
     if jobs <= 1 or len(tasks) <= 1:
-        for t in tasks:
-            yield fn(t)
+        yield from map(fn, tasks)
         return
     with multiprocessing.Pool(processes=jobs) as pool:
-        yield from pool.imap(fn, tasks)
-
-
-BATCH_PARENTS = 32
+        yield from pool.imap(fn, tasks, chunksize=-(-len(tasks) // (4 * jobs)))
 
 
 def _write_json_atomic(path: str, obj) -> None:
@@ -311,7 +294,7 @@ def brute_force_extremal(
     """Exact maximum edges or spectral radius over every fan-free
     isomorphism class on n vertices, with all achieving witnesses.
 
-    With a checkpoint path, the state is saved after each batch that brings
+    With a checkpoint path, the state is saved after each parent that brings
     the classes examined since the last save to `checkpoint_every` (default
     10^6)."""
     spec = fanspec_of(spec)
@@ -335,8 +318,7 @@ def brute_force_extremal(
     for _, parents in _levels(n - 1):
         pass
 
-    batches = _chunks(parents, BATCH_PARENTS)
-    start_batch = 0
+    start = 0
     examined = 0
     free = 0
     best: float | int | None = None
@@ -349,47 +331,40 @@ def brute_force_extremal(
         "r": spec.r,
         "mode": mode,
         "tol": tol if mode == "lambda" else None,
-        "batch_parents": BATCH_PARENTS,
-        # the acceptance rule decides which parent batch emits each class,
-        # so a batch cursor means nothing under another rule
+        # the acceptance rule decides which parent emits each class, so a
+        # parent cursor means nothing under another rule
         "deletion_vertex": "max-invariant",
     }
+    progress = ("parent_cursor", "examined", "free", "best", "cands")
     if resume and os.path.exists(checkpoint_path):
         with open(checkpoint_path) as fh:
             state = json.load(fh)
-        if {k: state.get(k) for k in ckpt_key} != ckpt_key:
+        # any other key (a batch cursor, say) belongs to another format
+        if (
+            not isinstance(state, dict)
+            or state.keys() != {*ckpt_key, *progress}
+            or {k: state[k] for k in ckpt_key} != ckpt_key
+        ):
             raise ValueError("checkpoint does not match this run's parameters")
-        start_batch = state["batch_cursor"]
-        examined = state["examined"]
-        free = state["free"]
-        best = state["best"]
-        cands = [tuple(c) for c in state["cands"]]
+        start, examined, free, best, cands = (state[k] for k in progress)
 
     window = 0 if mode == "edges" else LAMBDA_WITNESS_WINDOW
     since_ckpt = 0
-    tasks = [
-        (batch, spec.k, spec.r, mode, tol) for batch in batches[start_batch:]
-    ]
-    for i, partial in enumerate(_map_batches(_scan_extremal_batch, tasks, jobs)):
-        examined += partial["examined"]
-        free += partial["free"]
-        if partial["best"] is not None and (best is None or partial["best"] > best):
-            best = partial["best"]
-        cands.extend(partial["cands"])
-        cands = [(s, v) for s, v in cands if best is not None and v >= best - window]
-        since_ckpt += partial["examined"]
+    scan = partial(_scan_extremal_parent, spec=spec, mode=mode, tol=tol)
+    for cursor, (count, free_children) in enumerate(_map(scan, parents[start:], jobs), start + 1):
+        examined += count
+        free += len(free_children)
+        for value, crows in free_children:
+            if best is None or value > best:
+                best = value
+                cands = [(s, v) for s, v in cands if v >= best - window]
+            if value >= best - window:
+                cands.append((to_graph6(Graph._from_rows_unchecked(crows)), value))
+        since_ckpt += count
         if checkpoint_path and since_ckpt >= checkpoint_every:
             since_ckpt = 0
             state = dict(ckpt_key)
-            state.update(
-                {
-                    "batch_cursor": start_batch + i + 1,
-                    "examined": examined,
-                    "free": free,
-                    "best": best,
-                    "cands": [list(c) for c in cands],
-                }
-            )
+            state.update(zip(progress, (cursor, examined, free, best, cands)))
             _write_json_atomic(checkpoint_path, state)
 
     witnesses = tuple(sorted(s for s, v in cands))
@@ -427,16 +402,9 @@ def _bounded_pred(beta: int, delta: int) -> Pred:
     return pred
 
 
-def _scan_f_batch(args) -> dict:
-    parent_batch, beta, delta = args
-    pred = _bounded_pred(beta, delta)
-    examined = 0
-    best = 0
-    for rows in parent_batch:
-        for crows in _children_of_parent_aug(rows, pred):
-            examined += 1
-            best = max(best, _edge_count(crows))
-    return {"examined": examined, "best": best}
+def _scan_f_parent(rows: tuple[int, ...], beta: int, delta: int) -> list[int]:
+    """Worker: the edge counts of one parent's children in the class."""
+    return [_edge_count(c) for c in _children_of_parent_aug(rows, _bounded_pred(beta, delta))]
 
 
 @dataclass
@@ -489,10 +457,9 @@ def brute_force_f_report(
         examined += len(level)
         best = max(best, *map(_edge_count, level))
     if n_max >= 1:  # the empty graph is the one class with no parent
-        tasks = [(batch, beta, delta) for batch in _chunks(level, BATCH_PARENTS)]
-        for partial in _map_batches(_scan_f_batch, tasks, jobs):
-            examined += partial["examined"]
-            best = max(best, partial["best"])
+        for counts in _map(partial(_scan_f_parent, beta=beta, delta=delta), level, jobs):
+            examined += len(counts)
+            best = max([best, *counts])
     return BoundedEdgeReport(
         beta=beta,
         delta=delta,
@@ -558,24 +525,23 @@ def _part_size_vectors(n: int, parts: int, max_imbalance: int) -> list[tuple[int
     return sorted(set(out), reverse=True)
 
 
-def _scan_family_batch(args) -> list[dict]:
-    members, k, r, tol = args
-    spec = FanSpec(k, r)
-    out = []
-    for sizes, g0_g6, host in members:
-        member = embed_in_part(sizes, host, from_graph6(g0_g6).edges())
-        witness = contains_fan(member, spec)
-        rec = {
-            "sizes": sizes,
-            "g0": g0_g6,
-            "host": host,
-            "free": witness is None,
-            "edges": member.edge_count() if isinstance(member, StructuredGraph) else member.edge_count,
-        }
-        if witness is None:
-            rec["lam"] = spectral_radius(member, tol=tol).lam
-        out.append(rec)
-    return out
+def _scan_family_member(
+    member: tuple[tuple[int, ...], str, int], spec: FanSpec, tol: float
+) -> dict:
+    """Worker: the record of one family member (sizes, g0 graph6, host)."""
+    sizes, g0_g6, host = member
+    g = embed_in_part(sizes, host, from_graph6(g0_g6).edges())
+    witness = contains_fan(g, spec)
+    rec = {
+        "sizes": sizes,
+        "g0": g0_g6,
+        "host": host,
+        "free": witness is None,
+        "edges": g.edge_count() if isinstance(g, StructuredGraph) else g.edge_count,
+    }
+    if witness is None:
+        rec["lam"] = spectral_radius(g, tol=tol).lam
+    return rec
 
 
 def family_search(
@@ -616,24 +582,20 @@ def family_search(
     examined = 0
     free_count = 0
     best: dict | None = None
-    tasks = [
-        (batch, spec.k, spec.r, tol) for batch in _chunks(members, 16)
-    ]
-    for partial in _map_batches(_scan_family_batch, tasks, jobs):
-        for rec in partial:
-            examined += 1
-            if not rec["free"]:
-                continue
-            free_count += 1
-            key = (rec["lam"], rec["edges"], rec["sizes"], rec["g0"], -rec["host"])
-            if best is None or key > (
-                best["lam"],
-                best["edges"],
-                best["sizes"],
-                best["g0"],
-                -best["host"],
-            ):
-                best = rec
+    for rec in _map(partial(_scan_family_member, spec=spec, tol=tol), members, jobs):
+        examined += 1
+        if not rec["free"]:
+            continue
+        free_count += 1
+        key = (rec["lam"], rec["edges"], rec["sizes"], rec["g0"], -rec["host"])
+        if best is None or key > (
+            best["lam"],
+            best["edges"],
+            best["sizes"],
+            best["g0"],
+            -best["host"],
+        ):
+            best = rec
 
     if best is None:
         raise RuntimeError("no fan-free member in the family sweep")

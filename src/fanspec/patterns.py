@@ -16,6 +16,7 @@ from .graphs import (
     AnyGraph,
     Graph,
     VertexPartition,
+    _components,
     _mask_bits,
     induced_subgraph_mask,
 )
@@ -123,8 +124,10 @@ def _packing_search(
     Returns (min(true max, limit), packing masks if the limit was reached).
     Branches on the lowest-index vertex lying in any remaining s-clique:
     either one of the cliques through it joins the packing, or the vertex is
-    excluded.  Pruned by floor(|avail|/s), by a greedy packing lower bound,
-    and by the independent-class capacity bound.
+    excluded.  Pruned by the component bound, the sum of floor(|C|/s) over
+    the connected components C of avail (a clique lies inside one
+    component), by a greedy packing lower bound, and by the
+    independent-class capacity bound.
     """
     if limit <= 0:
         return 0, []
@@ -140,7 +143,7 @@ def _packing_search(
                 best_cliques = stack.copy()
         if best >= limit:
             return
-        if count + avail.bit_count() // s <= best:
+        if count + sum(c.bit_count() // s for c in _components(rows, avail)) <= best:
             return
         if count + _color_capacity_bound(rows, avail, s) <= best:
             return
@@ -270,14 +273,10 @@ def _scan_centers(g: Graph, degs: Sequence[int], k: int, r: int) -> FanWitness |
             rest ^= low
         if active.bit_count() < need:
             continue
-        sub, vmap = induced_subgraph_mask(g, active)
-        value, masks = _packing_search(sub.rows, (1 << sub.n) - 1, r - 1, k)
+        value, masks = _packing_search(g.rows, active, r - 1, k)
         if value >= k:
             assert masks is not None
-            cliques = tuple(
-                frozenset(vmap[i] for i in _mask_bits(m)) for m in masks[:k]
-            )
-            return FanWitness(v, cliques)
+            return FanWitness(v, tuple(frozenset(_mask_bits(m)) for m in masks[:k]))
     return None
 
 

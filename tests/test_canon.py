@@ -54,6 +54,23 @@ def test_relabeling_invariance():
         assert canonical_form(g) == canonical_form(g.relabel(perm))
 
 
+def test_relabeling_invariance_any_graph():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(data=st.data())
+    def invariant(data):
+        n = data.draw(st.integers(0, 10))
+        pairs = list(combinations(range(n), 2))
+        bits = data.draw(st.integers(0, (1 << len(pairs)) - 1))
+        g = Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+        perm = data.draw(st.permutations(range(n)))
+        assert canonical_form(g.relabel(perm)) == canonical_form(g)
+
+    invariant()
+
+
 def test_p3_relabelings_agree():
     a = Graph(3, [(0, 1), (1, 2)])
     b = Graph(3, [(1, 0), (0, 2)])

@@ -10,12 +10,13 @@ from fanspec import canonical_form, complete_graph, from_graph6, to_graph6, tura
 from fanspec.cli import build_parser, fmt12, main, parse_construct_spec
 
 
-def run_cli(args, stdin=None):
+def run_cli(args, stdin=None, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "fanspec.cli", *args],
         capture_output=True,
         text=True,
         input=stdin,
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -66,6 +67,23 @@ class TestConstruct:
             code, out, _ = run_cli(["construct", *argv])
             assert code == 0, argv
             assert out.strip() == to_graph6(parse_construct_spec(spec)), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "ch", "--k", "15"],
+        ["lambda", "--construct", "ch:21"],
+        # the reduced neighbourhood of a clique vertex holds both K_15
+        ["check", "--k", "15", "--r", "3", "--construct", "extremal:1000,15,3"],
+    ],
+    ids=" ".join,
+)
+def test_two_odd_cliques_pack_quickly(argv):
+    # two disjoint K_k for odd k: each command packs them, and took longer
+    # than 20 s while the packing bound ignored components
+    code, out, _ = run_cli(argv, timeout=20)
+    assert code == 0 and out
 
 
 class TestLambda:
@@ -314,6 +332,25 @@ class TestHelpAndErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "Traceback" not in err
         assert not ckpt.exists()
+
+    def test_batch_format_checkpoint_is_exit_2(self, tmp_path):
+        # the format before the cursor counted parents: a batch size in the
+        # key and a cursor over batches of 32 parents
+        ckpt = tmp_path / "state.json"
+        ckpt.write_text(
+            json.dumps(
+                {
+                    "kind": "brute", "n": 6, "k": 1, "r": 3, "mode": "edges", "tol": None,
+                    "batch_parents": 32, "deletion_vertex": "max-invariant",
+                    "batch_cursor": 1, "examined": 154, "free": 38, "best": 9,
+                    "cands": [["EFz_", 9]],
+                }
+            )
+        )
+        argv = ["brute", "--n", "6", "--k", "1", "--r", "3", "--checkpoint", str(ckpt)]
+        code, out, err = run_cli(argv + ["--resume"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_construct_spec_parser(self):
         assert parse_construct_spec("turan:5,2") == turan_graph(5, 2)

@@ -26,6 +26,14 @@ def random_graph(n, p, rng):
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
 
 
+def any_graph(data, st, max_n):
+    """A hypothesis draw of an arbitrary labeled graph on at most max_n vertices."""
+    n = data.draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    bits = data.draw(st.integers(0, (1 << len(pairs)) - 1))
+    return Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+
+
 def all_labeled_graphs(n):
     pairs = list(combinations(range(n), 2))
     for bits in range(1 << len(pairs)):
@@ -134,6 +142,20 @@ class TestGraph6:
         for n in range(8):
             for g in enumerate_graphs(n):
                 assert from_graph6(to_graph6(g)) == g
+
+    def test_roundtrip_any_graph(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(data=st.data())
+        def roundtrip(data):
+            g = any_graph(data, st, 10)
+            text = to_graph6(g)
+            assert from_graph6(text) == g
+            assert to_graph6(from_graph6(text)) == text
+
+        roundtrip()
 
     def test_header_prefix_accepted(self):
         assert from_graph6(">>graph6<<A_") == from_graph6("A_")

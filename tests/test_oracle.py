@@ -184,23 +184,23 @@ class TestBruteForceExtremal:
 
         clean = brute_force_extremal(6, (1, 3), "edges").to_json(timing=False)
         ckpt = str(tmp_path / "state.json")
-        real = om._scan_extremal_batch
+        real = om._scan_extremal_parent
         calls = {"n": 0}
 
-        def explode_after_one(args):
+        def explode_after_one(*args, **kwargs):
             if calls["n"] >= 1:
                 raise KeyboardInterrupt
             calls["n"] += 1
-            return real(args)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(om, "_scan_extremal_batch", explode_after_one)
+        monkeypatch.setattr(om, "_scan_extremal_parent", explode_after_one)
         with pytest.raises(KeyboardInterrupt):
             brute_force_extremal(
                 6, (1, 3), "edges", checkpoint_path=ckpt, checkpoint_every=1
             )
-        monkeypatch.setattr(om, "_scan_extremal_batch", real)
+        monkeypatch.setattr(om, "_scan_extremal_parent", real)
         state = json.load(open(ckpt))
-        assert state["batch_cursor"] == 1
+        assert state["parent_cursor"] == 1
         resumed = brute_force_extremal(
             6, (1, 3), "edges", checkpoint_path=ckpt, resume=True
         ).to_json(timing=False)
@@ -230,7 +230,7 @@ class TestBruteForceExtremal:
         monkeypatch.setattr(om.json, "dump", real_dump)
         # the first checkpoint is intact and no partial file is left beside it
         assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
-        assert json.loads(ckpt.read_text())["batch_cursor"] == 1
+        assert json.loads(ckpt.read_text())["parent_cursor"] == 1
         resumed = brute_force_extremal(
             6, (1, 3), "edges", checkpoint_path=str(ckpt), resume=True
         ).to_json(timing=False)

@@ -64,6 +64,22 @@ def random_graph(n, p, rng):
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
 
 
+def any_graph(data, st, max_n):
+    """A hypothesis draw of an arbitrary labeled graph on at most max_n vertices."""
+    n = data.draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    bits = data.draw(st.integers(0, (1 << len(pairs)) - 1))
+    return Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+
+
+def disjoint_union(*graphs):
+    rows, offset = [], 0
+    for g in graphs:
+        rows += [row << offset for row in g.rows]
+        offset += g.n
+    return Graph.from_rows(rows)
+
+
 class TestCliquePacking:
     def test_examples(self):
         two_k3 = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
@@ -110,6 +126,30 @@ class TestCliquePacking:
                     sorted(g.edges()),
                     s,
                 )
+
+    def test_disjoint_odd_cliques(self):
+        # floor(|avail|/s) alone left the search branching over the cliques
+        # of every component: 12 triangles took seconds and two K_15 (the
+        # odd chvatal_hanson_extremal(15)) more than 30 s
+        for t, m in ((3, 12), (5, 5), (15, 2), (21, 2)):
+            g = disjoint_union(*[complete_graph(t)] * m)
+            assert matching_number(g) == m * (t // 2)
+            for s in (3, 4):
+                assert clique_packing_number(g, s, g.n) == m * (t // s)
+
+    def test_disjoint_union_adds(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(data=st.data(), s=st.integers(2, 4))
+        def adds(data, s):
+            parts = [any_graph(data, st, 6) for _ in range(data.draw(st.integers(1, 3)))]
+            g = disjoint_union(*parts)
+            expect = sum(clique_packing_number(p, s, p.n) for p in parts)
+            assert clique_packing_number(g, s, g.n) == expect
+
+        adds()
 
 
 class TestMatching:
@@ -188,6 +228,26 @@ class TestContainsFan:
             g = random_graph(5, rng.random(), rng)
             for k, r in ((1, 3), (2, 3), (1, 4), (2, 2)):
                 assert (contains_fan(g, (k, r)) is not None) == naive_contains(g, k, r)
+
+    def test_agrees_with_naive_embedding_on_any_graph(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(
+            data=st.data(),
+            spec=st.sampled_from([(1, 2), (3, 2), (1, 3), (2, 3), (1, 4)]),
+        )
+        def agrees(data, spec):
+            g = any_graph(data, st, 8)
+            w = contains_fan(g, spec)
+            assert (w is not None) == naive_contains(g, *spec)
+            if w is not None:
+                k, r = spec
+                assert len(w.cliques) == k and all(len(c) == r - 1 for c in w.cliques)
+                w.validate(g)
+
+        agrees()
 
 
 def structured_hosts():

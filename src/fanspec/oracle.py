@@ -252,15 +252,16 @@ def _scan_extremal_parent(
     return len(children), free
 
 
-def _map(fn, tasks: Sequence, jobs: int) -> Iterator:
+def _map(fn, tasks: Sequence, jobs: int, chunksize: int | None = None) -> Iterator:
     """fn over tasks, results in task order: the builtin map at one job,
-    else a pool's imap in chunks sized as Pool.map sizes them (about four
-    per worker)."""
+    else a pool's imap in chunks of `chunksize` tasks, by default sized as
+    Pool.map sizes them (about four per worker).  imap hands back a whole
+    chunk at once, so a chunk is the least work the caller sees finish."""
     if jobs <= 1 or len(tasks) <= 1:
         yield from map(fn, tasks)
         return
     with multiprocessing.Pool(processes=jobs) as pool:
-        yield from pool.imap(fn, tasks, chunksize=-(-len(tasks) // (4 * jobs)))
+        yield from pool.imap(fn, tasks, chunksize or -(-len(tasks) // (4 * jobs)))
 
 
 def _write_json_atomic(path: str, obj) -> None:
@@ -296,7 +297,8 @@ def brute_force_extremal(
 
     With a checkpoint path, the state is saved after each parent that brings
     the classes examined since the last save to `checkpoint_every` (default
-    10^6)."""
+    10^6).  The pool then takes one parent a chunk, so a save can follow
+    any parent and a kill loses at most the parents in flight."""
     spec = fanspec_of(spec)
     if mode not in ("edges", "lambda"):
         raise ValueError("mode must be 'edges' or 'lambda'")
@@ -351,7 +353,8 @@ def brute_force_extremal(
     window = 0 if mode == "edges" else LAMBDA_WITNESS_WINDOW
     since_ckpt = 0
     scan = partial(_scan_extremal_parent, spec=spec, mode=mode, tol=tol)
-    for cursor, (count, free_children) in enumerate(_map(scan, parents[start:], jobs), start + 1):
+    results = _map(scan, parents[start:], jobs, 1 if checkpoint_path else None)
+    for cursor, (count, free_children) in enumerate(results, start + 1):
         examined += count
         free += len(free_children)
         for value, crows in free_children:

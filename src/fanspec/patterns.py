@@ -124,10 +124,13 @@ def _packing_search(
     Returns (min(true max, limit), packing masks if the limit was reached).
     Branches on the lowest-index vertex lying in any remaining s-clique:
     either one of the cliques through it joins the packing, or the vertex is
-    excluded.  Pruned by the component bound, the sum of floor(|C|/s) over
-    the connected components C of avail (a clique lies inside one
-    component), by a greedy packing lower bound, and by the
-    independent-class capacity bound.
+    excluded.  Pruned by floor(|avail|/s); where that fails, by the
+    component bound, the sum of floor(|C|/s) over the connected components
+    C of avail (a clique lies inside one component); by a greedy packing
+    lower bound; and by the independent-class capacity bound.  The floor
+    goes first because it is free and the component walk is not: on a
+    dense graph where the floor prunes most nodes, walking every node's
+    components made the search twenty times slower.
     """
     if limit <= 0:
         return 0, []
@@ -142,6 +145,8 @@ def _packing_search(
             if count >= limit:
                 best_cliques = stack.copy()
         if best >= limit:
+            return
+        if count + avail.bit_count() // s <= best:
             return
         if count + sum(c.bit_count() // s for c in _components(rows, avail)) <= best:
             return

@@ -15,6 +15,14 @@ def all_labeled_graphs(n):
         yield Graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
 
 
+def any_graph(data, st, max_n):
+    """A hypothesis draw of an arbitrary labeled graph on at most max_n vertices."""
+    n = data.draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    bits = data.draw(st.integers(0, (1 << len(pairs)) - 1))
+    return Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+
+
 def brute_min_code(g):
     """Independent canonical invariant: minimum edge list over all n!
     relabelings."""
@@ -61,11 +69,8 @@ def test_relabeling_invariance_any_graph():
     @hypothesis.settings(max_examples=300, deadline=None, database=None)
     @hypothesis.given(data=st.data())
     def invariant(data):
-        n = data.draw(st.integers(0, 10))
-        pairs = list(combinations(range(n), 2))
-        bits = data.draw(st.integers(0, (1 << len(pairs)) - 1))
-        g = Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
-        perm = data.draw(st.permutations(range(n)))
+        g = any_graph(data, st, 10)
+        perm = data.draw(st.permutations(range(g.n)))
         assert canonical_form(g.relabel(perm)) == canonical_form(g)
 
     invariant()

@@ -206,6 +206,29 @@ class TestBruteForceExtremal:
         ).to_json(timing=False)
         assert resumed == clean
 
+    def test_checkpointed_pool_takes_one_parent_a_chunk(self, tmp_path, monkeypatch):
+        # imap hands back a whole chunk at once, so a save could follow
+        # only a chunk's last parent; one parent a chunk keeps a kill from
+        # losing more than the parents in flight
+        import multiprocessing.pool
+
+        real = multiprocessing.pool.Pool.imap
+        sizes = []
+
+        def spy(pool, fn, tasks, chunksize=1):
+            sizes.append(chunksize)
+            return real(pool, fn, tasks, chunksize)
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "imap", spy)
+        clean = brute_force_extremal(6, (1, 3), "edges").to_json(timing=False)
+        ckpt = str(tmp_path / "state.json")
+        rep = brute_force_extremal(
+            6, (1, 3), "edges", jobs=2, checkpoint_path=ckpt, checkpoint_every=1
+        )
+        assert sizes == [1]
+        assert rep.to_json(timing=False) == clean
+        assert json.load(open(ckpt))["parent_cursor"] == 34  # every class on 5 vertices
+
     def test_checkpoint_survives_a_failed_write(self, tmp_path, monkeypatch):
         import fanspec.oracle as om
 

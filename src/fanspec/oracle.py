@@ -9,14 +9,28 @@ canonical label among the vertices whose invariant (degree, sum of
 neighbour degrees) is largest, as in geng (McKay 1998; McKay & Piperno
 2014).  A child whose new vertex does not have the largest invariant is
 rejected from the parent's degrees and the mask alone, before it is built
-or labeled; only the rest are labeled.  The rule stays exactly-once
-because the invariant and the canonical labels are both
+or labeled.  A child whose new vertex alone has the largest invariant is
+accepted unlabeled, since the new vertex is then the deletion vertex
+itself; only children with a tie are labeled to decide.  The rule stays
+exactly-once because the invariant and the canonical labels are both
 isomorphism-equivariant, so the deletion vertex is fixed up to
 automorphism by the child's class alone.  The acceptance test is local to
 a parent, so no global seen set is needed and the parents of the last
-level are independent tasks for the worker pool.  Accepted children are
-stored as canonical rows, so each level is the sorted list of its classes'
-canonical forms whichever parent emitted them.
+level are independent tasks for the worker pool.
+
+Each level stores its classes as canonical rows, so it is the sorted list
+of their canonical forms whichever parent emitted them, and it labels the
+children it accepted unlabeled to get them.  With the rows it stores the
+automorphism generators of the class in the canonical frame: those its
+labeling found, conjugated by the canonical permutation.  The next level
+takes orbit representatives of neighbourhood subsets under them, so no
+parent is labeled again.  The found generators generate the whole group,
+so the orbits, and the minimum representatives taken from them, are the
+ones a fresh labeling of the parent gives.  The last level is only
+scanned, not stored: fan-freeness, edge count and λ do not depend on the
+labeling, so its children stay as built.  `brute` labels only the graphs
+it writes out as canonical graph6: the witnesses, and the witness window
+at each checkpoint.
 
 Enumeration accepts an optional hereditary predicate (closed under vertex
 deletion, e.g. bounded degree + bounded matching); restricted to such a
@@ -34,6 +48,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import multiprocessing
 import os
 import tempfile
@@ -42,9 +57,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, Sequence
 
-# unused here; kept bound because perfbench/tracing.py rebinds oracle.canonical_form
-from .canon import canonical_form  # noqa: F401
-from .canon import canonical_info, permuted_rows
+from .canon import CanonicalInfo, canonical_form, canonical_info, permuted_rows
 from .families import FanSpec, embed_in_part, fanspec_of
 from .formulas import FormulaResult, fan_extremal_number
 from .graphs import (
@@ -93,10 +106,15 @@ def _mask_orbit_reps(n: int, gens: Sequence[tuple[int, ...]], min_size: int) -> 
 
 
 Pred = Callable[[Graph], bool]
+Rows = tuple[int, ...]
+Perm = tuple[int, ...]
+# one class of a level: canonical rows, and automorphism generators of them
+ClassRep = tuple[Rows, tuple[Perm, ...]]
+Level = list[ClassRep]
 
 
 def _new_vertex_ties(
-    rows: tuple[int, ...], deg: list[int], nbr_sum: list[int], mask: int
+    rows: Rows, deg: list[int], nbr_sum: list[int], mask: int
 ) -> list[int] | None:
     """The vertices of the child parent + mask whose invariant (degree, sum
     of neighbour degrees) equals that of the new vertex n, n first; None
@@ -121,40 +139,60 @@ def _new_vertex_ties(
     return ties
 
 
-def _children_of_parent_aug(rows: tuple[int, ...], pred: Pred | None) -> list[tuple[int, ...]]:
-    parent = Graph._from_rows_unchecked(rows)
-    info = canonical_info(parent)
-    n = parent.n
-    deg = parent.degrees()
+def _children_of_parent_aug(
+    parent: ClassRep, pred: Pred | None
+) -> list[tuple[Rows, CanonicalInfo | None]]:
+    """The accepted children of one class of a level, each as its rows (the
+    parent's, plus the new vertex n) and its labeling, or None where the new
+    vertex alone has the top invariant and so is the deletion vertex."""
+    rows, gens = parent
+    g = Graph._from_rows_unchecked(rows)
+    n = g.n
+    deg = g.degrees()
     nbr_sum = [sum(deg[w] for w in _mask_bits(row)) for row in rows]
-    out = []
+    out: list[tuple[Rows, CanonicalInfo | None]] = []
     # a smaller neighbourhood leaves the new vertex below a vertex of top degree
-    for mask in _mask_orbit_reps(n, info.aut_generators, max(deg, default=0)):
+    for mask in _mask_orbit_reps(n, gens, max(deg, default=0)):
         ties = _new_vertex_ties(rows, deg, nbr_sum, mask)
         if ties is None:
             continue
-        child = parent.add_vertex(mask)
+        child = g.add_vertex(mask)
         if pred is not None and not pred(child):
+            continue
+        if len(ties) == 1:
+            out.append((child.rows, None))
             continue
         cinfo = canonical_info(child)
         deletion_vertex = max(ties, key=cinfo.perm.__getitem__)
         if cinfo.orbits[deletion_vertex] == cinfo.orbits[n]:
-            out.append(permuted_rows(child.rows, cinfo.perm))
+            out.append((child.rows, cinfo))
     return out
 
 
-def _level_up(parents: Sequence[tuple[int, ...]], pred: Pred | None) -> list[tuple[int, ...]]:
-    """The next level: every accepted child of every parent, sorted."""
-    out: list[tuple[int, ...]] = []
-    for rows in parents:
-        out.extend(_children_of_parent_aug(rows, pred))
+def _level_up(parents: Level, pred: Pred | None) -> Level:
+    """The next level: every accepted child of every parent, sorted, each as
+    canonical rows with its automorphism generators carried into that frame
+    (a generator a becomes b with b[perm[v]] = perm[a[v]])."""
+    out: Level = []
+    for parent in parents:
+        for rows, info in _children_of_parent_aug(parent, pred):
+            if info is None:
+                info = canonical_info(Graph._from_rows_unchecked(rows))
+            perm = info.perm
+            gens = []
+            for a in info.aut_generators:
+                b = [0] * len(perm)
+                for v, pv in enumerate(perm):
+                    b[pv] = perm[a[v]]
+                gens.append(tuple(b))
+            out.append((permuted_rows(rows, perm), tuple(gens)))
     out.sort()
     return out
 
 
-def _levels(n_max: int, pred: Pred | None = None) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
-    """Yield (size, canonical row tuples) for sizes 0..n_max, one per class."""
-    level: list[tuple[int, ...]] = [()]
+def _levels(n_max: int, pred: Pred | None = None) -> Iterator[tuple[int, Level]]:
+    """Yield (size, level) for sizes 0..n_max, one entry per class."""
+    level: Level = [((), ())]
     yield 0, level
     for size in range(1, n_max + 1):
         level = _level_up(level, pred)
@@ -172,7 +210,7 @@ def enumerate_graphs(n: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Graph]:
         )
     for size, level in _levels(n):
         if size == n:
-            for rows in level:
+            for rows, _ in level:
                 yield Graph._from_rows_unchecked(rows)
 
 
@@ -235,16 +273,17 @@ def _formula_or_none(n: int, spec: FanSpec) -> FormulaResult | None:
 
 
 def _scan_extremal_parent(
-    rows: tuple[int, ...], spec: FanSpec, mode: str, tol: float
-) -> tuple[int, list[tuple[float | int, tuple[int, ...]]]]:
+    parent: ClassRep, spec: FanSpec, mode: str, tol: float
+) -> tuple[int, list[tuple[float | int, Rows]]]:
     """Worker: the number of final-level children of one parent, and
-    (value, rows) for each fan-free child.
+    (value, rows) for each fan-free child, its rows as built: fan-freeness,
+    edges and λ do not depend on the labeling.
 
     The augmentation acceptance test is exactly-once per isomorphism class
     across all parents, so the parents partition the class space."""
-    children = _children_of_parent_aug(rows, None)
+    children = _children_of_parent_aug(parent, None)
     free = []
-    for crows in children:
+    for crows, _ in children:
         g = Graph._from_rows_unchecked(crows)
         if contains_fan(g, spec) is None:
             value = g.edge_count if mode == "edges" else spectral_radius(g, tol=tol).lam
@@ -262,6 +301,19 @@ def _map(fn, tasks: Sequence, jobs: int, chunksize: int | None = None) -> Iterat
         return
     with multiprocessing.Pool(processes=jobs) as pool:
         yield from pool.imap(fn, tasks, chunksize or -(-len(tasks) // (4 * jobs)))
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return (_is_int(x) or isinstance(x, float)) and math.isfinite(x)
+
+
+def _graph6_of(cands: list[tuple[Rows, float | int]]) -> list[tuple[str, float | int]]:
+    """Each (rows, value) as (canonical graph6, value)."""
+    return [(to_graph6(canonical_form(Graph._from_rows_unchecked(c))), v) for c, v in cands]
 
 
 def _write_json_atomic(path: str, obj) -> None:
@@ -324,7 +376,9 @@ def brute_force_extremal(
     examined = 0
     free = 0
     best: float | int | None = None
-    cands: list[tuple[str, float | int]] = []
+    # the fan-free classes inside the witness window, as built: only a
+    # checkpoint and the report label them, for canonical graph6
+    cands: list[tuple[Rows, float | int]] = []
 
     ckpt_key = {
         "kind": "brute",
@@ -349,6 +403,25 @@ def brute_force_extremal(
         ):
             raise ValueError("checkpoint does not match this run's parameters")
         start, examined, free, best, cands = (state[k] for k in progress)
+        if not (
+            _is_int(start)
+            and 0 <= start <= len(parents)
+            and _is_int(examined)
+            and _is_int(free)
+            and 0 <= free <= examined
+            and (best is None or _is_number(best))
+            and isinstance(cands, list)
+            and all(
+                isinstance(c, list)
+                and len(c) == 2
+                and isinstance(c[0], str)
+                and _is_number(c[1])
+                and from_graph6(c[0]).n == n
+                for c in cands
+            )
+        ):
+            raise ValueError("checkpoint progress is malformed")
+        cands = [(from_graph6(s).rows, v) for s, v in cands]
 
     window = 0 if mode == "edges" else LAMBDA_WITNESS_WINDOW
     since_ckpt = 0
@@ -360,17 +433,17 @@ def brute_force_extremal(
         for value, crows in free_children:
             if best is None or value > best:
                 best = value
-                cands = [(s, v) for s, v in cands if v >= best - window]
+                cands = [(c, v) for c, v in cands if v >= best - window]
             if value >= best - window:
-                cands.append((to_graph6(Graph._from_rows_unchecked(crows)), value))
+                cands.append((crows, value))
         since_ckpt += count
         if checkpoint_path and since_ckpt >= checkpoint_every:
             since_ckpt = 0
             state = dict(ckpt_key)
-            state.update(zip(progress, (cursor, examined, free, best, cands)))
+            state.update(zip(progress, (cursor, examined, free, best, _graph6_of(cands))))
             _write_json_atomic(checkpoint_path, state)
 
-    witnesses = tuple(sorted(s for s, v in cands))
+    witnesses = tuple(sorted(s for s, _ in _graph6_of(cands)))
     formula = _formula_or_none(n, spec)
     matches: bool | None = None
     if formula is not None:
@@ -405,9 +478,10 @@ def _bounded_pred(beta: int, delta: int) -> Pred:
     return pred
 
 
-def _scan_f_parent(rows: tuple[int, ...], beta: int, delta: int) -> list[int]:
+def _scan_f_parent(parent: ClassRep, beta: int, delta: int) -> list[int]:
     """Worker: the edge counts of one parent's children in the class."""
-    return [_edge_count(c) for c in _children_of_parent_aug(rows, _bounded_pred(beta, delta))]
+    pred = _bounded_pred(beta, delta)
+    return [_edge_count(rows) for rows, _ in _children_of_parent_aug(parent, pred)]
 
 
 @dataclass
@@ -458,7 +532,7 @@ def brute_force_f_report(
     examined = 0
     for _, level in _levels(n_max - 1, pred):
         examined += len(level)
-        best = max(best, *map(_edge_count, level))
+        best = max(best, *(_edge_count(rows) for rows, _ in level))
     if n_max >= 1:  # the empty graph is the one class with no parent
         for counts in _map(partial(_scan_f_parent, beta=beta, delta=delta), level, jobs):
             examined += len(counts)
@@ -496,7 +570,7 @@ def g0_candidates(k: int, cap: int = DEFAULT_ENUM_CAP) -> list[G0Candidate]:
     for size, level in _levels(2 * k, pred):
         if size == 0:
             continue
-        for rows in level:
+        for rows, _ in level:
             g = Graph._from_rows_unchecked(rows)
             degs = g.degrees()
             if min(degs) == 0:

@@ -30,3 +30,19 @@ def test_every_traced_binding_resolves():
             if clsname:
                 owner = getattr(owner, clsname)
             assert callable(getattr(owner, attr, None)), (name, where, attr)
+
+
+def test_traced_oracle_calls_keep_their_shape(monkeypatch):
+    # the tracer counts the classes a level produces as len() of what
+    # oracle._level_up returns, and sees the brute merge's labelings only
+    # through oracle's own bindings
+    from fanspec import oracle
+
+    for size, level in oracle._levels(3):
+        pass
+    assert len(oracle._level_up(level, None)) == 11
+    merged = []
+    real = oracle.canonical_form
+    monkeypatch.setattr(oracle, "canonical_form", lambda g: merged.append(g) or real(g))
+    rep = oracle.brute_force_extremal(5, (1, 3), "edges")
+    assert len(merged) >= len(rep.witnesses) > 0

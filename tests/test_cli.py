@@ -21,6 +21,20 @@ def run_cli(args, stdin=None, timeout=None):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+# a checkpoint of `brute --n 5 --k 1 --r 3` before its first parent
+BRUTE5_CHECKPOINT = {
+    "kind": "brute", "n": 5, "k": 1, "r": 3, "mode": "edges", "tol": None,
+    "deletion_vertex": "max-invariant",
+    "parent_cursor": 0, "examined": 0, "free": 0, "best": None, "cands": [],
+}
+
+
+def resume_brute5(**progress):
+    """argv that resumes `brute --n 5 --k 1 --r 3` from BRUTE5_CHECKPOINT
+    with these progress values, which the test writes to a file."""
+    return ["brute", "--n", "5", "--k", "1", "--r", "3", "--resume", "--checkpoint", progress]
+
+
 class TestConstruct:
     def test_turan(self):
         code, out, _ = run_cli(["construct", "turan", "--n", "5", "--p", "2"])
@@ -314,10 +328,29 @@ class TestHelpAndErrors:
             ["charpoly", "--sizes", "2,3", "--x", "nan"],
             ["charpoly", "--sizes", "2,3", "--x", "inf"],
             ["brute", "--n", "7", "--k", "2", "--r", "3", "--resume"],
+            resume_brute5(parent_cursor="1"),
+            resume_brute5(parent_cursor=True),
+            resume_brute5(parent_cursor=-1),
+            resume_brute5(parent_cursor=12),  # 11 classes on 4 vertices
+            resume_brute5(parent_cursor=1000000, examined=-5),
+            resume_brute5(examined=-5),
+            resume_brute5(examined=2, free=3),
+            resume_brute5(examined=2.0),
+            resume_brute5(best="7"),
+            resume_brute5(best=float("nan")),
+            resume_brute5(cands={"DF{": 7}),
+            resume_brute5(cands=[["DF{"]]),
+            resume_brute5(cands=[["DF{", "7"]]),
+            resume_brute5(cands=[[7, 7]]),
+            resume_brute5(cands=[["A_", 1]]),  # a witness on 2 vertices
         ],
-        ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+        ids=lambda argv: " ".join(map(str, argv[:1] + argv[-2:])),
     )
-    def test_bad_input_is_exit_2(self, argv):
+    def test_bad_input_is_exit_2(self, argv, tmp_path):
+        if isinstance(argv[-1], dict):
+            ckpt = tmp_path / "state.json"
+            ckpt.write_text(json.dumps({**BRUTE5_CHECKPOINT, **argv[-1]}))
+            argv = [*argv[:-1], str(ckpt)]
         code, out, err = run_cli(argv)
         assert code == 2
         assert err.startswith("error:")

@@ -25,9 +25,16 @@ from fanspec import (
     turan_number_t,
     verify_main_theorem,
 )
+import fanspec.canon as canon
 import fanspec.oracle as oracle
-from fanspec.canon import canonical_info, permuted_rows
-from fanspec.oracle import _bounded_pred, _levels, _mask_orbit_reps, _part_size_vectors
+from fanspec.canon import canonical_info, orbits_from_perms, permuted_rows
+from fanspec.oracle import (
+    _bounded_pred,
+    _children_of_parent_aug,
+    _levels,
+    _mask_orbit_reps,
+    _part_size_vectors,
+)
 
 
 def all_labeled_graphs(n):
@@ -59,6 +66,22 @@ def levels_by_last_label(n_max, pred=None):
     for size in range(1, n_max + 1):
         level = sorted(c for rows in level for c in children_by_last_label(rows, pred))
         yield size, level
+
+
+def count_labelings(monkeypatch):
+    """Count canonical labelings made through either module's binding, as
+    the benchmark's tracer does: canonical_form labels through
+    canon.canonical_info, so each labeling counts once."""
+    calls = [0]
+    real = canon.canonical_info
+
+    def counting(g):
+        calls[0] += 1
+        return real(g)
+
+    monkeypatch.setattr(canon, "canonical_info", counting)
+    monkeypatch.setattr(oracle, "canonical_info", counting)
+    return calls
 
 
 class TestEnumeration:
@@ -101,31 +124,52 @@ class TestEnumeration:
             forms = {
                 canonical_form(g).rows for g in all_labeled_graphs(size) if pred(g)
             }
-            assert level == sorted(forms), (size, beta, delta)
+            assert [rows for rows, _ in level] == sorted(forms), (size, beta, delta)
 
     @pytest.mark.parametrize("bounds", [None, (1, 1), (2, 2), (3, 3)])
     def test_invariant_filter_keeps_every_level(self, bounds):
         # the invariant-filtered rule and the plain one pick different
         # parents for a class, but must store the same canonical rows
         pred = None if bounds is None else _bounded_pred(*bounds)
-        fast = list(_levels(7, pred))
+        fast = [(size, [rows for rows, _ in level]) for size, level in _levels(7, pred)]
         slow = list(levels_by_last_label(7, pred))
         assert fast == slow, bounds
 
     def test_invariant_filter_labels_few_children(self, monkeypatch):
         # a count, not a timing: it moves only if the filter is lost or
         # changed.  Without the filter _levels(7) makes 5,968 labelings.
-        calls = [0]
-        real = oracle.canonical_info
-
-        def counting(g):
-            calls[0] += 1
-            return real(g)
-
-        monkeypatch.setattr(oracle, "canonical_info", counting)
+        calls = count_labelings(monkeypatch)
         for _ in _levels(7):
             pass
-        assert calls[0] == 1516
+        assert calls[0] == 1307
+
+    @pytest.mark.parametrize("bounds", [None, (2, 2), (3, 3)])
+    def test_unlabeled_children_are_the_next_level(self, bounds):
+        # the last-level scans read each parent's children as built, most of
+        # them unlabeled; canonicalized, they must be exactly the next level,
+        # both as stored and as the plain rule finds it
+        pred = None if bounds is None else _bounded_pred(*bounds)
+        levels = [level for _, level in _levels(7, pred)]
+        slow = [level for _, level in levels_by_last_label(7, pred)]
+        unlabeled = 0
+        for size, parents in enumerate(levels[:-1]):
+            children = [c for parent in parents for c in _children_of_parent_aug(parent, pred)]
+            unlabeled += sum(info is None for _, info in children)
+            forms = sorted(canonical_form(Graph._from_rows_unchecked(rows)).rows for rows, _ in children)
+            assert forms == [rows for rows, _ in levels[size + 1]] == slow[size + 1], (size, bounds)
+        assert unlabeled > 0
+
+    @pytest.mark.parametrize("bounds", [None, (3, 3)])
+    def test_carried_generators_give_the_orbits(self, bounds):
+        # each class's generators are carried from its acceptance labeling
+        # into the canonical frame; they must be automorphisms of the stored
+        # rows and give the orbits of labeling those rows afresh
+        pred = None if bounds is None else _bounded_pred(*bounds)
+        for size, level in _levels(7, pred):
+            for rows, gens in level:
+                assert all(permuted_rows(rows, b) == rows for b in gens)
+                orbits = canonical_info(Graph._from_rows_unchecked(rows)).orbits
+                assert tuple(orbits_from_perms(size, list(gens))) == orbits, rows
 
 
 class TestBruteForceExtremal:
@@ -178,6 +222,14 @@ class TestBruteForceExtremal:
         # max degree <= 1 means a matching: 2 edges on 5 vertices
         assert rep.best_value == 2
         assert rep.formula_value is None and rep.matches_formula is None
+
+    def test_labels_only_what_acceptance_and_witnesses_need(self, monkeypatch):
+        # a count, not a timing: the last level's children whose new vertex
+        # alone has the top invariant go unlabeled, and the merge labels only
+        # the witnesses it reports
+        calls = count_labelings(monkeypatch)
+        brute_force_extremal(7, (2, 3), "lambda")
+        assert calls[0] == 638
 
     def test_checkpoint_resume(self, tmp_path, monkeypatch):
         import fanspec.oracle as om

@@ -153,20 +153,22 @@ def chvatal_hanson_extremal(k: int) -> Graph:
     if k < 1:
         raise ValueError("k must be at least 1")
     if k % 2 == 1:
-        g = Graph(
-            2 * k,
-            [(i, j) for i in range(k) for j in range(i + 1, k)]
-            + [(k + i, k + j) for i in range(k) for j in range(i + 1, k)],
+        clique = (1 << k) - 1
+        g = Graph._from_rows_unchecked(
+            tuple(clique ^ (1 << i) for i in range(k))
+            + tuple((clique << k) ^ (1 << (k + i)) for i in range(k))
         )
     else:
         m = 2 * k - 1
-        edges = []
-        for off in range(1, (k - 2) // 2 + 1):
-            for i in range(m):
-                edges.append((i, (i + off) % m))
+        full = (1 << m) - 1
+        h = (k - 2) // 2
+        # row 0 of the circulant: offsets 1..h and -1..-h; row i rotates it by i
+        base = ((1 << (h + 1)) - 2) | (((1 << h) - 1) << (m - h))
+        rows = [((base << i) | (base >> (m - i))) & full for i in range(m)]
         for i in range(k - 1):
-            edges.append((i, i + k - 1))
-        g = Graph(m, set(tuple(sorted(e)) for e in edges))
+            rows[i] |= 1 << (i + k - 1)
+            rows[i + k - 1] |= 1 << i
+        g = Graph._from_rows_unchecked(tuple(rows))
 
     from .formulas import chvatal_hanson_f
     from .patterns import matching_number

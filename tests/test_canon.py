@@ -1,12 +1,13 @@
 """Canonical labeling: invariance, idempotence, counts, orbit correctness."""
 
+import hashlib
 import random
 from itertools import combinations, permutations
 
 import pytest
 
-from fanspec import Graph, canonical_form, complete_graph, cycle_graph, empty_graph, path_graph
-from fanspec.canon import canonical_info
+from fanspec import Graph, canonical_form, complete_graph, cycle_graph, empty_graph, path_graph, to_graph6
+from fanspec.canon import _individualize, _refine, canonical_info
 
 
 def all_labeled_graphs(n):
@@ -190,3 +191,153 @@ def test_isomorphism_matches_networkx():
                 same += iso
                 differ += not iso
     assert same > 20 and differ > 200
+
+
+# canonical graph6 of every class of _levels(7), one per line in level order
+LEVELS7_FORMS_SHA256 = "f6eaf154f2fb561d51622ad59b1b89ad1b64232e822ce2282344ccc7801345a4"
+# canonical_info(g).perm of every networkx atlas graph in its atlas labeling,
+# space-separated, one per line in atlas order
+ATLAS_PERMS_SHA256 = "dbccf33bbf87ca70d1013de9ebc9fe11c760fc8e37918428677db07146d1726d"
+
+
+def test_pinned_canonical_forms():
+    # the forms themselves, not only their invariance: a refinement that
+    # reorders colours changes them, and with them the level order, the
+    # witnesses and the checkpoints
+    from fanspec.oracle import _levels
+
+    forms = [to_graph6(Graph._from_rows_unchecked(rows)) for _, level in _levels(7) for rows, _ in level]
+    assert len(forms) == 1253
+    assert hashlib.sha256("\n".join(forms).encode()).hexdigest() == LEVELS7_FORMS_SHA256
+
+
+def test_pinned_atlas_labelings():
+    nx = pytest.importorskip("networkx")
+    perms = []
+    for h in nx.graph_atlas_g():
+        g = Graph(h.number_of_nodes(), list(h.edges()))
+        perms.append(" ".join(map(str, canonical_info(g).perm)))
+    assert hashlib.sha256("\n".join(perms).encode()).hexdigest() == ATLAS_PERMS_SHA256
+
+
+def full_signature_refine(rows, colors):
+    """The slow reference, the refinement this package used before it
+    counted incrementally: every pass counts each vertex's neighbours in
+    every colour class and renumbers the classes 0..c-1 by ascending (old
+    colour, signature)."""
+    n = len(rows)
+    ncls = (max(colors) + 1) if colors else 0
+    while True:
+        masks = [0] * ncls
+        for v, c in enumerate(colors):
+            masks[c] |= 1 << v
+        sigs = [(colors[v], tuple((rows[v] & m).bit_count() for m in masks)) for v in range(n)]
+        order = sorted(range(n), key=lambda v: sigs[v])
+        new = [0] * n
+        c = 0
+        prev = sigs[order[0]]
+        for v in order:
+            if sigs[v] != prev:
+                c += 1
+                prev = sigs[v]
+            new[v] = c
+        if c + 1 == ncls:
+            return new
+        colors = new
+        ncls = c + 1
+
+
+def individualized_colors(colors, v):
+    """colors with v alone in its class, ahead of the rest of the class."""
+    cv = colors[v]
+    out = []
+    for u, c in enumerate(colors):
+        if c < cv:
+            out.append(c)
+        elif c == cv:
+            out.append(cv if u == v else cv + 1)
+        else:
+            out.append(c + 1)
+    return out
+
+
+def colors_of(n, cells):
+    colors = [0] * n
+    for i, cell in enumerate(cells):
+        for v in range(n):
+            if cell >> v & 1:
+                colors[v] = i
+    return colors
+
+
+def unit_refined(rows):
+    return _refine(rows, [(1 << len(rows)) - 1], [0])
+
+
+def test_incremental_refinement_matches_full_signatures():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(data=st.data())
+    def same_colours(data):
+        g = any_graph(data, st, 10)
+        hypothesis.assume(g.n > 0)
+        rows, n = g.rows, g.n
+        cells = unit_refined(rows)
+        colors = full_signature_refine(rows, [0] * n)
+        assert colors_of(n, cells) == colors
+        # down one path of the search tree, every vertex of a non-singleton
+        # cell individualized at each node
+        while len(cells) < n:
+            for i, cell in enumerate(cells):
+                if cell & (cell - 1):
+                    for v in range(n):
+                        if cell >> v & 1:
+                            got = _refine(rows, _individualize(cells, i, v), [i])
+                            want = full_signature_refine(rows, individualized_colors(colors, v))
+                            assert colors_of(n, got) == want, (i, v)
+            i = data.draw(st.sampled_from([i for i, cell in enumerate(cells) if cell & (cell - 1)]))
+            v = data.draw(st.sampled_from([v for v in range(n) if cells[i] >> v & 1]))
+            cells = _refine(rows, _individualize(cells, i, v), [i])
+            colors = full_signature_refine(rows, individualized_colors(colors, v))
+
+    same_colours()
+
+
+def assert_labels_keep_colour_order(g):
+    # each cell of the refined unit colouring takes the next block of labels
+    cells = unit_refined(g.rows)
+    perm = canonical_info(g).perm
+    start = 0
+    for cell in cells:
+        members = [v for v in range(g.n) if cell >> v & 1]
+        assert sorted(perm[v] for v in members) == list(range(start, start + len(members)))
+        start += len(members)
+
+
+def test_labels_keep_the_unit_refinement_colour_order():
+    from fanspec.oracle import _levels
+
+    rng = random.Random(53)
+    for size, level in _levels(7):
+        if size == 0:
+            continue
+        for rows, _ in level:
+            perm = list(range(size))
+            rng.shuffle(perm)
+            assert_labels_keep_colour_order(Graph._from_rows_unchecked(rows).relabel(perm))
+
+
+def test_labels_keep_the_unit_refinement_colour_order_any_graph():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(data=st.data())
+    def colour_order(data):
+        g = any_graph(data, st, 10)
+        hypothesis.assume(g.n > 0)
+        assert_labels_keep_colour_order(g)
+
+    colour_order()

@@ -179,6 +179,19 @@ class TestChvatalHansonExtremal:
                 assert max(g.degrees()) == k - 1
             assert matching_number(g) <= k - 1
 
+    def test_rows_match_the_edge_list_definition(self):
+        # the rows are built directly; the definition as edges is the oracle,
+        # labels included, since `construct ch` prints them as graph6
+        for k in list(range(1, 41)) + [100, 101]:
+            if k % 2:
+                edges = [(p + i, p + j) for p in (0, k) for i, j in combinations(range(k), 2)]
+                g = Graph(2 * k, edges)
+            else:
+                m = 2 * k - 1
+                edges = [(i, (i + off) % m) for off in range(1, k // 2) for i in range(m)]
+                g = Graph(m, edges + [(i, i + k - 1) for i in range(k - 1)])
+            assert chvatal_hanson_extremal(k) == g, k
+
 
 class TestExtremalFanGraph:
     def test_edge_count_at_200(self):

@@ -517,35 +517,35 @@ class StructuredGraph:
 AnyGraph = Graph | StructuredGraph
 
 
-# --- graph6 codec (short form, bit-exact) ---------------------------------
+# --- graph6 codec (bit-exact) -----------------------------------------------
 
 
 def to_graph6(g: Graph) -> str:
-    """Encode in graph6 short form: header byte n+63, then the upper
-    triangle in column-major order (x01, x02, x12, x03, ...) packed into
-    6-bit groups, each offset by 63, zero-padded."""
-    if g.n > 62:
-        raise Graph6Error(f"graph6 short form supports at most 62 vertices, not {g.n}")
-    out = [chr(g.n + 63)]
-    acc = 0
-    nbits = 0
-    for j in range(1, g.n):
-        col = g.rows[j]
-        for i in range(j):
-            acc = (acc << 1) | (col >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        acc <<= 6 - nbits
-        out.append(chr(acc + 63))
-    return "".join(out)
+    """Encode in graph6: the size (byte n+63 up to 62 vertices, else byte
+    126 and n in three 6-bit groups, up to 258,047), then the upper triangle
+    in column-major order (x01, x02, x12, x03, ...) packed into 6-bit
+    groups, each offset by 63, zero-padded."""
+    if not isinstance(g, Graph):
+        raise Graph6Error(
+            f"graph6 output needs a dense graph; this one is structured "
+            f"({g.n} vertices, dense only up to {DENSE_KERNEL_LIMIT} or with one part)"
+        )
+    n = g.n
+    if n <= 62:
+        header = chr(n + 63)
+    elif n <= 258047:  # the largest n whose first size group stays below 63
+        header = "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
+    else:
+        raise Graph6Error(f"graph6 here supports at most 258047 vertices, not {n}")
+    # column j holds x_ij for i < j: the low j bits of row j, lowest first
+    bits = "".join(format(g.rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    return header + "".join(chr(int(bits[i : i + 6], 2) + 63) for i in range(0, len(bits), 6))
 
 
 def from_graph6(text: str) -> Graph:
-    """Decode a graph6 short-form string (n <= 62)."""
+    """Decode a graph6 string (n <= 258,047: the one-byte and four-byte
+    size headers)."""
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
@@ -554,29 +554,31 @@ def from_graph6(text: str) -> Graph:
     for ch in s:
         if not (63 <= ord(ch) <= 126):
             raise Graph6Error(f"character {ch!r} outside graph6 range 63..126")
-    n = ord(s[0]) - 63
-    if n > 62:
-        raise Graph6Error("long-form graph6 header (n > 62) not supported")
+    n, payload = ord(s[0]) - 63, s[1:]
+    if n == 63:
+        if len(s) < 4:
+            raise Graph6Error("truncated long-form graph6 header")
+        if s[1] == "~":
+            raise Graph6Error("graph6 headers beyond 258047 vertices not supported")
+        n = (ord(s[1]) - 63) << 12 | (ord(s[2]) - 63) << 6 | (ord(s[3]) - 63)
+        if n <= 62:
+            raise Graph6Error("long-form graph6 header for a graph of at most 62 vertices")
+        payload = s[4:]
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
-    payload = s[1:]
     if len(payload) < need:
         raise Graph6Error("truncated graph6 bit payload")
     if len(payload) > need:
         raise Graph6Error("excess characters after graph6 payload")
-    bits = 0
-    for ch in payload:
-        bits = (bits << 6) | (ord(ch) - 63)
-    pad = 6 * need - nbits
-    if pad and bits & ((1 << pad) - 1):
+    bits = "".join(format(ord(ch) - 63, "06b") for ch in payload)
+    if "1" in bits[nbits:]:
         raise Graph6Error("nonzero padding bits")
-    bits >>= pad
     rows = [0] * n
-    pos = nbits - 1
+    pos = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits >> pos & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            pos -= 1
+        col = int(bits[pos : pos + j][::-1], 2)  # bit i is x_ij
+        pos += j
+        rows[j] |= col
+        for i in _mask_bits(col):
+            rows[i] |= 1 << j
     return Graph._from_rows_unchecked(tuple(rows))

@@ -53,18 +53,26 @@ class TestConstruct:
         code, out, _ = run_cli(["construct", "multipartite", "--sizes", "2,2"])
         assert code == 0 and from_graph6(out.strip()).edge_count == 4
 
-    def test_too_large_for_graph6(self):
-        # single-part families past the dense limit are dense graphs; they
-        # fail with the same message as structured ones
-        for argv in (
-            ["extremal", "--n", "100", "--k", "2", "--r", "3"],
-            ["split", "--n", "80", "--k", "0"],
-            ["turan", "--n", "100", "--p", "1"],
+    def test_structured_graph_exits_2(self):
+        # multipartite families past the dense limit are structured graphs,
+        # which graph6 output does not densify
+        code, _, err = run_cli(["construct", "extremal", "--n", "100", "--k", "2", "--r", "3"])
+        assert code == 2
+        assert err.startswith("error: graph6 output needs a dense graph")
+        assert "short form" not in err
+
+    def test_long_form_graphs(self):
+        # dense graphs above 62 vertices get the four-byte graph6 header
+        for argv, spec in (
+            (["turan", "--n", "63", "--p", "2"], "turan:63,2"),
+            (["split", "--n", "80", "--k", "0"], "split:80,0"),
+            (["turan", "--n", "100", "--p", "1"], "turan:100,1"),
+            (["ch", "--k", "1000"], "ch:1000"),
         ):
-            code, _, err = run_cli(["construct", *argv])
-            assert code == 2
-            assert "62" in err
-            assert err.startswith("error: graph6 short form")
+            code, out, err = run_cli(["construct", *argv])
+            assert code == 0, (argv, err)
+            assert out.startswith("~")
+            assert from_graph6(out.strip()) == parse_construct_spec(spec)
 
     def test_every_family_matches_the_spec_parser(self):
         # `construct FAMILY --opts` and the constructor spec build one graph

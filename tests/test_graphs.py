@@ -174,7 +174,32 @@ class TestGraph6:
         with pytest.raises(Graph6Error):
             from_graph6("A@")  # nonzero padding bits
         with pytest.raises(Graph6Error):
-            to_graph6(empty_graph(63))
+            to_graph6(empty_graph(258048))  # past the four-byte header
+        with pytest.raises(Graph6Error):
+            from_graph6("~??")  # truncated long-form header
+        with pytest.raises(Graph6Error):
+            from_graph6("~??~")  # long-form header for 63 vertices, no payload
+        with pytest.raises(Graph6Error):
+            from_graph6("~?@?")  # long-form header for a short-form size
+        with pytest.raises(Graph6Error):
+            from_graph6("~~??????")  # eight-byte header
+
+    def test_long_form_header(self):
+        assert to_graph6(empty_graph(63))[:4] == "~??~"
+        assert to_graph6(empty_graph(300))[:4] == "~?Ck"  # 300 = 4*64 + 44
+        assert from_graph6(to_graph6(empty_graph(300))) == empty_graph(300)
+
+    def test_long_form_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(31)
+        for n in (63, 64, 100, 1999):
+            g = random_graph(n, rng.random(), rng)
+            theirs = nx.Graph()
+            theirs.add_nodes_from(range(n))
+            theirs.add_edges_from(g.edges())
+            text = to_graph6(g)
+            assert text == nx.to_graph6_bytes(theirs, header=False).decode().strip()
+            assert from_graph6(text) == g
 
     def test_path_and_cycle_sanity(self):
         assert path_graph(4).edge_count == 3

@@ -8,6 +8,7 @@ import pytest
 
 from fanspec import (
     EnumerationCapError,
+    FanSpec,
     Graph,
     brute_force_extremal,
     brute_force_f_report,
@@ -31,9 +32,11 @@ from fanspec.canon import canonical_info, orbits_from_perms, permuted_rows
 from fanspec.oracle import (
     _bounded_pred,
     _children_of_parent_aug,
+    _lambda_floor_sq,
     _levels,
     _mask_orbit_reps,
     _part_size_vectors,
+    _walk_bound,
 )
 
 
@@ -383,6 +386,117 @@ class TestBruteForceExtremal:
             brute_force_extremal(6, (1, 3), "edges", checkpoint_path=str(ckpt), resume=True)
 
 
+def scan_solving_every_child(parent, spec, mode, tol, floor_sq):
+    """The brute worker without the walk bound: every fan-free child is
+    scored, as before the bound, whatever floor_sq says."""
+    children = _children_of_parent_aug(parent, None)
+    scored = []
+    for crows, _ in children:
+        g = Graph._from_rows_unchecked(crows)
+        if contains_fan(g, spec) is None:
+            value = g.edge_count if mode == "edges" else spectral_radius(g, tol=tol).lam
+            scored.append((value, crows))
+    return len(children), len(scored), scored
+
+
+def interrupt_after(monkeypatch, worker, parents):
+    """Run `worker` as the brute worker for `parents` parents, then raise
+    KeyboardInterrupt, as a kill mid-run would."""
+    calls = [0]
+
+    def scan(*args, **kwargs):
+        if calls[0] >= parents:
+            raise KeyboardInterrupt
+        calls[0] += 1
+        return worker(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_scan_extremal_parent", scan)
+
+
+class TestWalkBound:
+    """`brute` skips the λ solve of a child whose walk bound W (the largest
+    row sum of A²) puts √W below the Turán floor; the reports stay those of
+    solving every fan-free child."""
+
+    def test_bounds_the_spectral_radius(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        np = pytest.importorskip("numpy")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(data=st.data())
+        def bounded(data):
+            n = data.draw(st.integers(1, 10))
+            pairs = list(combinations(range(n), 2))
+            bits = data.draw(st.integers(0, (1 << len(pairs)) - 1))
+            g = Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+            adj = np.array([[g.has_edge(u, v) for v in range(n)] for u in range(n)], float)
+            assert math.sqrt(_walk_bound(g.rows)) >= np.linalg.eigvalsh(adj).max() - 1e-12
+
+        bounded()
+
+    def test_turan_class_is_never_skipped(self):
+        for r in range(2, 6):
+            for n in range(1, 11):
+                rows = turan_graph(n, r - 1).rows
+                for tol in (1e-10, 1e-6):
+                    floor_sq = _lambda_floor_sq(n, FanSpec(1, r), tol)
+                    assert _walk_bound(rows) >= floor_sq, (n, r, tol)
+                    if r >= 3 and n >= r:
+                        lam = spectral_radius(turan_graph(n, r - 1)).lam
+                        assert 0 < floor_sq < lam * lam
+
+    @pytest.mark.parametrize(
+        "spec, n_max", [((1, 3), 7), ((2, 3), 8), ((3, 3), 7), ((2, 4), 7), ((1, 4), 7)]
+    )
+    def test_reports_match_solving_every_child(self, spec, n_max, monkeypatch):
+        pruned_worker = oracle._scan_extremal_parent
+        for n in range(1, n_max + 1):
+            for mode in ("edges", "lambda"):
+                monkeypatch.setattr(oracle, "_scan_extremal_parent", scan_solving_every_child)
+                ref = brute_force_extremal(n, spec, mode).to_json(timing=False)
+                monkeypatch.setattr(oracle, "_scan_extremal_parent", pruned_worker)
+                for jobs in (1, 2):
+                    rep = brute_force_extremal(n, spec, mode, jobs=jobs)
+                    assert rep.to_json(timing=False) == ref, (n, mode, jobs)
+
+    def test_solves_only_what_can_reach_the_floor(self, monkeypatch):
+        # a count, not a timing: 77 of the 400 fan-free classes on 7
+        # vertices have a walk bound at or above λ(T(7, 2))²
+        calls = [0]
+        real = oracle.spectral_radius
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "spectral_radius", counting)
+        rep = brute_force_extremal(7, (2, 3), "lambda", jobs=1)
+        assert (rep.free_count, calls[0]) == (400, 77)
+
+    def test_full_solve_checkpoint_resumes_under_the_bound(self, tmp_path, monkeypatch):
+        pruned_worker = oracle._scan_extremal_parent
+        clean = brute_force_extremal(7, (2, 3), "lambda").to_json(timing=False)
+        states = []
+        for worker in (scan_solving_every_child, pruned_worker):
+            ckpt = str(tmp_path / f"{len(states)}.json")
+            interrupt_after(monkeypatch, worker, 60)
+            with pytest.raises(KeyboardInterrupt):
+                brute_force_extremal(
+                    7, (2, 3), "lambda", checkpoint_path=ckpt, checkpoint_every=1
+                )
+            with open(ckpt) as fh:
+                states.append(fh.read())
+        # both workers write the same checkpoint, byte for byte
+        assert states[0] == states[1]
+        assert json.loads(states[0])["parent_cursor"] == 60
+        monkeypatch.setattr(oracle, "_scan_extremal_parent", pruned_worker)
+        resumed = brute_force_extremal(
+            7, (2, 3), "lambda", checkpoint_path=str(tmp_path / "0.json"), resume=True
+        )
+        assert resumed.to_json(timing=False) == clean
+
+
 class TestBruteForceF:
     def test_examples(self):
         assert brute_force_f_report(1, 1, 4).value == 1
@@ -514,6 +628,14 @@ class TestVerifyMainTheorem:
         # below every validity threshold: reported as data, not asserted
         assert rep.brute_force_agrees is not None
         assert rep.brute_best_edges == 13
+
+    def test_threshold_disagreement_at_26(self):
+        # below the threshold the family winner can miss the closed form:
+        # (3,3) at n = 26 has a 174-edge winner against 175, and n = 27 agrees
+        rep = verify_main_theorem(26, (3, 3))
+        assert rep.agrees is False
+        assert (rep.family_winner_edges, rep.formula_edges) == (174, 175)
+        assert verify_main_theorem(27, (3, 3)).agrees is True
 
     def test_above_cap_skips_brute(self):
         rep = verify_main_theorem(20, (2, 3))

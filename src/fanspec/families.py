@@ -2,8 +2,9 @@
 
 Everything here is deterministic: a family plus its parameters yields one
 fixed labeled graph.  Constructions that exceed the dense-kernel limit and
-have at least two parts are returned as ``StructuredGraph`` (multipartite
-scaffold + patch edges); smaller or single-part ones come back as dense
+have at least two parts are returned as ``StructuredGraph``, the blow-up
+of their twin cells (each patch vertex alone, the untouched rest of each
+part as one cell); smaller or single-part ones come back as dense
 ``Graph`` objects.
 """
 

@@ -1,6 +1,6 @@
 """Immutable simple graphs.
 
-Two representations live here:
+Two types live here:
 
 * ``Graph`` -- dense adjacency stored as one Python-int bitmask per vertex.
   Bit-parallel neighborhood intersection is what makes the combinatorial
@@ -8,17 +8,19 @@ Two representations live here:
   desk scale.  The dense kernels are tuned for n <= 64 (a documented soft
   limit); the representation itself works for any n.
 
-* ``StructuredGraph`` -- a complete multipartite scaffold plus an explicit
-  set of intra-part "patch" edges, with at least two nonempty parts (so it
-  is connected).  Constructions on hundreds to millions of vertices
-  (balanced multipartite hosts with a small graph embedded in one part) use
-  this form; its twin cells do not grow in number with n.
+* ``StructuredGraph`` -- a blow-up of a small cell graph: each cell is an
+  independent set of ``sizes[c]`` vertices, and two cells are joined
+  completely or not at all.  It is the large-graph type.  Constructions on
+  hundreds to millions of vertices (balanced multipartite hosts with a
+  small graph embedded in one part) are built as one by
+  ``StructuredGraph(sizes, patch)``, and their cells do not grow in number
+  with n.
 
-Both types describe their classes of false twins the same way, as
-``TwinCells``; the type only decides how the classes are found.  Fan
-detection searches ``TwinCells.reduction(k)``, the dense graph induced on
-the first k members of each class, and the spectral solves iterate on the
-cell values.
+The cells of a graph are its classes of false twins, and
+``Graph.twin_cells`` groups equal rows into that same blow-up.  Fan
+detection searches ``twin_reduction(k)``, the dense graph induced on the
+first k members of each cell, and the spectral solves iterate on the cell
+values.
 
 Vertices are always 0-indexed integers.  All operations are pure; instances
 are immutable and safe to share across workers.
@@ -28,7 +30,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import accumulate
+from operator import itemgetter, mul
+from typing import Iterable, Iterator, Sequence
 
 DENSE_KERNEL_LIMIT = 64
 
@@ -44,7 +48,7 @@ def _mask_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _mask_image(mask: int, perm: Sequence[int]) -> int:
+def _mask_image(mask: int, perm: Sequence[int] | dict[int, int]) -> int:
     """The vertex set `mask` after relabeling with perm[old] = new."""
     out = 0
     while mask:
@@ -177,16 +181,14 @@ class Graph:
         """Relabel with perm[old] = new."""
         rows = [0] * self.n
         for u, row in enumerate(self.rows):
-            new_row = 0
-            for v in _mask_bits(row):
-                new_row |= 1 << perm[v]
-            rows[perm[u]] = new_row
+            rows[perm[u]] = _mask_image(row, perm)
         return Graph._from_rows_unchecked(tuple(rows))
 
-    def twin_cells(self) -> TwinCells:
-        """The classes of false twins (see ``TwinCells``), found in one pass
-        by grouping equal rows; vertices with equal rows are non-adjacent,
-        since no row holds its own vertex."""
+    def twin_cells(self) -> StructuredGraph:
+        """This graph as the blow-up of its classes of false twins (see
+        ``StructuredGraph``), found in one pass by grouping equal rows;
+        vertices with equal rows are non-adjacent, since no row holds its
+        own vertex."""
         classes: dict[int, list[int]] = {}
         for v, row in enumerate(self.rows):
             classes.setdefault(row, []).append(v)
@@ -196,21 +198,21 @@ class Graph:
             for v in members:
                 cell_of[v] = c
         starts = [v for v in range(self.n) if not v or cell_of[v] != cell_of[v - 1]]
-        return TwinCells(
-            rows=tuple(_mask_image(self.rows[c[0]], cell_of) for c in cells),
-            sizes=tuple(map(len, cells)),
-            runs=tuple(zip(starts, starts[1:] + [self.n], [cell_of[v] for v in starts])),
+        return StructuredGraph._from_cells(
+            tuple(_mask_image(self.rows[c[0]], cell_of) for c in cells),
+            tuple(map(len, cells)),
+            tuple(zip(starts, starts[1:] + [self.n], [cell_of[v] for v in starts])),
         )
 
     def twin_reduction(self, k: int) -> tuple[Graph, Sequence[int], list[int]]:
-        """``TwinCells.reduction(k)``, or, when no class of false twins has
-        more than k members, the graph itself with labels ``range(n)`` and
-        its degrees, with nothing copied."""
+        """``StructuredGraph.twin_reduction(k)`` of ``twin_cells``, or, when
+        no class of false twins has more than k members, the graph itself
+        with labels ``range(n)`` and its degrees, with nothing copied."""
         # a class of more than k members repeats its row at least k times
         if len(set(self.rows)) + k <= self.n:
             cells = self.twin_cells()
             if cells.sizes[-1] > k:
-                return cells.reduction(k)
+                return cells.twin_reduction(k)
         return self, range(self.n), self.degrees()
 
     def components(self) -> list[int]:
@@ -268,16 +270,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     keep = 0
     for v in vs:
         keep |= 1 << v
-    rows = []
-    for v in vs:
-        row = 0
-        rest = g.rows[v] & keep
-        while rest:
-            low = rest & -rest
-            row |= 1 << index[low.bit_length() - 1]
-            rest ^= low
-        rows.append(row)
-    return Graph._from_rows_unchecked(tuple(rows))
+    return Graph._from_rows_unchecked(tuple(_mask_image(g.rows[v] & keep, index) for v in vs))
 
 
 def induced_subgraph_mask(g: Graph, mask: int) -> tuple[Graph, list[int]]:
@@ -337,31 +330,139 @@ def consecutive_partition(sizes: Sequence[int]) -> VertexPartition:
     return VertexPartition(tuple(parts))
 
 
-class TwinCells(NamedTuple):
-    """The classes of false twins of a graph: vertices with the same
-    neighbourhood, so pairwise non-adjacent.  They form an equitable
-    partition (Godsil & Royle, *Algebraic Graph Theory* 9.3): a vertex of
-    cell i has ``sizes[j]`` neighbours in cell j when bit j of ``rows[i]``
-    is set, and none otherwise.
+class StructuredGraph:
+    """A blow-up of a small cell graph: each cell is an independent set of
+    ``sizes[c]`` vertices, and two vertices of different cells are adjacent
+    exactly when their cells are.  The cells are classes of false twins
+    and form an equitable partition (Godsil & Royle, *Algebraic Graph
+    Theory* 9.3): a vertex of cell i has ``sizes[j]`` neighbours in cell j
+    when bit j of ``rows[i]`` is set, and none otherwise.
 
     ``rows`` is the cell graph as bitmasks, ``sizes`` the cells' vertex
     counts, and ``runs`` the (start, stop, cell) runs of consecutive
     vertices, in vertex order.  Cells are ordered by size, ties by lowest
     vertex, so graphs that differ only in which of several equal parts
-    holds a patch list the same cells in the same order.  The graph type
-    only decides how the cells are found (``Graph.twin_cells``,
-    ``StructuredGraph.twin_cells``)."""
+    holds a patch list the same cells in the same order.
 
-    rows: tuple[int, ...]
-    sizes: tuple[int, ...]
-    runs: tuple[tuple[int, int, int], ...]
+    ``StructuredGraph(sizes, patch)`` is the complete multipartite graph
+    with parts of the given sizes laid out consecutively, plus the
+    ``patch`` edges inside parts: each patch vertex is a cell alone and the
+    untouched rest of each part one cell, at most #parts + #patch vertices
+    cells whatever n is.  At least two parts must be nonempty: with one,
+    there are no cross edges and the graph is just its patch, a dense
+    ``Graph``.  ``Graph.twin_cells`` gives any dense graph in this form.
 
-    def reduction(self, k: int) -> tuple[Graph, list[int], list[int]]:
+    Fan detection and the spectral solves read only the cells, so neither
+    densifies.  ``to_graph`` and ``degrees`` are O(n^2 / 64) and O(n)
+    conveniences that no solver calls.
+    """
+
+    __slots__ = ("rows", "sizes", "runs", "n")
+
+    def __init__(self, sizes: Sequence[int], patch: Iterable[tuple[int, int]] = ()):
+        parts = tuple(int(s) for s in sizes)
+        if not parts or any(s < 0 for s in parts):
+            raise ValueError("part sizes must be nonnegative and nonempty")
+        if sum(1 for s in parts if s > 0) < 2:
+            raise ValueError("a structured graph needs at least two nonempty parts")
+        n = sum(parts)
+        offsets = list(accumulate(parts[:-1], initial=0))
+
+        def part_of(v: int) -> int:
+            return bisect_right(offsets, v) - 1
+
+        edges = set()
+        for u, v in patch:
+            if u == v:
+                raise ValueError("loop in patch")
+            a, b = (u, v) if u < v else (v, u)
+            if not (0 <= a and b < n):
+                raise ValueError("patch vertex out of range")
+            if part_of(a) != part_of(b):
+                raise ValueError("patch edges must stay inside one part")
+            edges.add((a, b))
+        touched = sorted({v for e in edges for v in e})
+        # size and lowest vertex of the untouched rest of each part
+        rest, low = list(parts), offsets[:]
+        for v in touched:
+            i = part_of(v)
+            rest[i] -= 1
+            low[i] += low[i] == v
+        # (size, lowest vertex, part, key): a patch vertex is keyed by
+        # itself, the rest of part i by ~i
+        cells = sorted(
+            [(1, v, part_of(v), v) for v in touched]
+            + [(s, low[i], i, ~i) for i, s in enumerate(rest) if s]
+        )
+        index = {key: c for c, (*_, key) in enumerate(cells)}
+        part_masks = [0] * len(parts)
+        for c, (_, _, i, _) in enumerate(cells):
+            part_masks[i] |= 1 << c
+        full = (1 << len(cells)) - 1
+        rows = [full ^ part_masks[i] for _, _, i, _ in cells]
+        for a, b in edges:
+            rows[index[a]] |= 1 << index[b]
+            rows[index[b]] |= 1 << index[a]
+        cuts = sorted({n, *offsets, *touched, *(v + 1 for v in touched)})
+        self.rows = tuple(rows)
+        self.sizes = tuple(size for size, *_ in cells)
+        self.runs = tuple(
+            (a, b, index[a if a in index else ~part_of(a)]) for a, b in zip(cuts, cuts[1:])
+        )
+        self.n = n
+
+    @classmethod
+    def _from_cells(
+        cls, rows: tuple[int, ...], sizes: tuple[int, ...], runs: tuple[tuple[int, int, int], ...]
+    ) -> StructuredGraph:
+        g = object.__new__(cls)
+        g.rows, g.sizes, g.runs, g.n = rows, sizes, runs, sum(sizes)
+        return g
+
+    def __repr__(self) -> str:
+        return f"StructuredGraph(n={self.n}, cells={len(self.sizes)})"
+
+    def _cell_of(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise ValueError("vertex out of range")
+        return self.runs[bisect_right(self.runs, v, key=itemgetter(0)) - 1][2]
+
+    def _cell_degrees(self) -> list[int]:
+        # few distinct sizes (thousands of equal Turán parts have one or
+        # two), so count each row's neighbour cells of each size at once
+        by_size: dict[int, int] = {}  # size -> mask of the cells of that size
+        for c, s in enumerate(self.sizes):
+            by_size[s] = by_size.get(s, 0) | 1 << c
+        return [sum(s * (row & m).bit_count() for s, m in by_size.items()) for row in self.rows]
+
+    def edge_count(self) -> int:
+        return sum(map(mul, self.sizes, self._cell_degrees())) // 2
+
+    def degree(self, v: int) -> int:
+        return self._cell_degrees()[self._cell_of(v)]
+
+    def degrees(self) -> list[int]:
+        cell_degrees = self._cell_degrees()
+        return [cell_degrees[c] for start, stop, c in self.runs for _ in range(start, stop)]
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return bool(self.rows[self._cell_of(u)] >> self._cell_of(v) & 1)
+
+    def is_connected(self) -> bool:
+        # a cell of two or more vertices is connected only through another
+        return self.n <= 1 or (
+            len(self.rows) > 1 and len(_components(self.rows, (1 << len(self.rows)) - 1)) == 1
+        )
+
+    def twin_cells(self) -> StructuredGraph:
+        return self
+
+    def twin_reduction(self, k: int) -> tuple[Graph, list[int], list[int]]:
         """The dense graph induced on the first k members of each cell,
         relabeled in ascending order, with each kept vertex's label and
-        degree in the whole graph.  Twins are interchangeable, so a subgraph
-        with independence number at most k embeds in the graph exactly when
-        it embeds here."""
+        degree in the whole graph: at most k * #cells vertices whatever n
+        is.  Twins are interchangeable, so a subgraph with independence
+        number at most k embeds in the graph exactly when it embeds here."""
         quota = [min(k, s) for s in self.sizes]
         labels: list[int] = []
         kept_cells: list[int] = []
@@ -382,136 +483,10 @@ class TwinCells(NamedTuple):
         rows = tuple(cell_rows[c] for c in kept_cells)
         return Graph._from_rows_unchecked(rows), labels, [cell_degrees[c] for c in kept_cells]
 
-
-class StructuredGraph:
-    """Complete multipartite graph plus explicit intra-part patch edges.
-
-    Vertices are laid out consecutively by part: part i occupies the range
-    [offset_i, offset_i + sizes[i]).  Two vertices in different parts are
-    always adjacent; vertices in the same part are adjacent exactly when
-    listed in ``patch``.  This is the large-n representation for the
-    extremal constructions (multipartite host with a small embedded graph).
-
-    At least two parts must be nonempty: with one, there are no cross edges
-    and the graph is just its patch, a dense ``Graph``.  So a
-    ``StructuredGraph`` is always connected.
-
-    The vertices of a part that no patch edge meets are false twins, so
-    the graph has at most #parts + #patch vertices twin cells
-    (``twin_cells``), read off the parts and the patch rather than found
-    by grouping rows as a dense ``Graph`` does.  Fan detection and the
-    spectral solves read only the cells, so neither densifies.
-    ``to_graph`` and ``degrees`` are O(n^2 / 64) and O(n) conveniences
-    that no solver calls.
-    """
-
-    __slots__ = ("sizes", "patch", "n", "_offsets")
-
-    def __init__(self, sizes: Sequence[int], patch: Iterable[tuple[int, int]] = ()):
-        sizes = tuple(int(s) for s in sizes)
-        if not sizes or any(s < 0 for s in sizes):
-            raise ValueError("part sizes must be nonnegative and nonempty")
-        if sum(1 for s in sizes if s > 0) < 2:
-            raise ValueError("a structured graph needs at least two nonempty parts")
-        self.sizes = sizes
-        self.n = sum(sizes)
-        offsets = []
-        start = 0
-        for s in sizes:
-            offsets.append(start)
-            start += s
-        self._offsets = tuple(offsets)
-        norm = set()
-        for u, v in patch:
-            if u == v:
-                raise ValueError("loop in patch")
-            a, b = (u, v) if u < v else (v, u)
-            if not (0 <= a and b < self.n):
-                raise ValueError("patch vertex out of range")
-            if self.part_of(a) != self.part_of(b):
-                raise ValueError("patch edges must stay inside one part")
-            norm.add((a, b))
-        self.patch = frozenset(norm)
-
-    def part_of(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise ValueError("vertex out of range")
-        return bisect_right(self._offsets, v) - 1
-
-    def edge_count(self) -> int:
-        cross = (self.n * self.n - sum(s * s for s in self.sizes)) // 2
-        return cross + len(self.patch)
-
-    def degree(self, v: int) -> int:
-        base = self.n - self.sizes[self.part_of(v)]
-        return base + sum(1 for a, b in self.patch if a == v or b == v)
-
-    def degrees(self) -> list[int]:
-        out = [self.n - self.sizes[self.part_of(v)] for v in range(self.n)]
-        for a, b in self.patch:
-            out[a] += 1
-            out[b] += 1
-        return out
-
-    def twin_cells(self) -> TwinCells:
-        """The twin cells (see ``TwinCells``): each patch vertex alone, and
-        the untouched rest of each part (the vertices no patch edge meets)
-        as one cell.  At most #parts + #patch vertices of them, found with
-        no pass over the n vertices."""
-        touched = sorted({v for e in self.patch for v in e})
-        # size and lowest vertex of the untouched rest of each part
-        rest, low = list(self.sizes), list(self._offsets)
-        for v in touched:
-            i = self.part_of(v)
-            rest[i] -= 1
-            low[i] += low[i] == v
-        # (size, lowest vertex, part, key): a patch vertex is keyed by
-        # itself, the rest of part i by ~i
-        cells = sorted(
-            [(1, v, self.part_of(v), v) for v in touched]
-            + [(s, low[i], i, ~i) for i, s in enumerate(rest) if s]
-        )
-        index = {key: c for c, (*_, key) in enumerate(cells)}
-        part_masks = [0] * len(self.sizes)
-        for c, (_, _, i, _) in enumerate(cells):
-            part_masks[i] |= 1 << c
-        full = (1 << len(cells)) - 1
-        rows = [full ^ part_masks[i] for _, _, i, _ in cells]
-        for a, b in self.patch:
-            rows[index[a]] |= 1 << index[b]
-            rows[index[b]] |= 1 << index[a]
-        cuts = sorted({self.n, *self._offsets, *touched, *(v + 1 for v in touched)})
-        return TwinCells(
-            rows=tuple(rows),
-            sizes=tuple(size for size, *_ in cells),
-            runs=tuple(
-                (a, b, index[a if a in index else ~self.part_of(a)])
-                for a, b in zip(cuts, cuts[1:])
-            ),
-        )
-
-    def twin_reduction(self, k: int) -> tuple[Graph, list[int], list[int]]:
-        """``TwinCells.reduction(k)`` of ``twin_cells``: at most #patch +
-        k * #parts vertices whatever n is."""
-        return self.twin_cells().reduction(k)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        if self.part_of(u) != self.part_of(v):
-            return True
-        a, b = (u, v) if u < v else (v, u)
-        return (a, b) in self.patch
-
-    def is_connected(self) -> bool:
-        return True  # two nonempty parts, joined completely
-
     def to_graph(self) -> Graph:
-        """Densify.  Cost is O(n^2 / 64) words; fine up to a few thousand."""
-        return Graph._from_rows_unchecked(_multipartite_rows(self.sizes, self.patch))
-
-    def __repr__(self) -> str:
-        return f"StructuredGraph(sizes={self.sizes}, patch_edges={len(self.patch)})"
+        """Densify: the twin reduction that keeps every vertex, so no label
+        moves.  Cost is O(n^2 / 64) words; fine up to a few thousand."""
+        return self.twin_reduction(self.n)[0]
 
 
 AnyGraph = Graph | StructuredGraph
@@ -524,7 +499,8 @@ def to_graph6(g: Graph) -> str:
     """Encode in graph6: the size (byte n+63 up to 62 vertices, else byte
     126 and n in three 6-bit groups, up to 258,047), then the upper triangle
     in column-major order (x01, x02, x12, x03, ...) packed into 6-bit
-    groups, each offset by 63, zero-padded."""
+    groups, each offset by 63, zero-padded.  The groups are packed column
+    by column, so no more than one column's bits are held as text."""
     if not isinstance(g, Graph):
         raise Graph6Error(
             f"graph6 output needs a dense graph; this one is structured "
@@ -537,10 +513,17 @@ def to_graph6(g: Graph) -> str:
         header = "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
     else:
         raise Graph6Error(f"graph6 here supports at most 258047 vertices, not {n}")
-    # column j holds x_ij for i < j: the low j bits of row j, lowest first
-    bits = "".join(format(g.rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
-    bits += "0" * (-len(bits) % 6)
-    return header + "".join(chr(int(bits[i : i + 6], 2) + 63) for i in range(0, len(bits), 6))
+    out = bytearray(header, "ascii")
+    bits = ""  # the last column's bits that do not fill a 6-bit group
+    for j in range(1, n):
+        # column j holds x_ij for i < j: the low j bits of row j, lowest first
+        bits += format(g.rows[j] & ((1 << j) - 1), f"0{j}b")[::-1]
+        cut = len(bits) - len(bits) % 6
+        out.extend(int(bits[i : i + 6], 2) + 63 for i in range(0, cut, 6))
+        bits = bits[cut:]
+    if bits:
+        out.append(int(bits.ljust(6, "0"), 2) + 63)
+    return out.decode("ascii")
 
 
 def from_graph6(text: str) -> Graph:

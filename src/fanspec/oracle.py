@@ -82,6 +82,7 @@ from .canon import CanonicalInfo, canonical_form, canonical_info, permuted_rows
 from .families import FanSpec, balanced_sizes, embed_in_part, fanspec_of
 from .formulas import FormulaResult, fan_extremal_number
 from .graphs import (
+    DENSE_KERNEL_LIMIT,
     Graph,
     StructuredGraph,
     _edge_count,
@@ -728,11 +729,10 @@ def family_search(
         raise RuntimeError("no fan-free member in the family sweep")
     formula = _formula_or_none(n, spec)
     witnesses: tuple[str, ...] = ()
-    if n <= 62:
+    if n <= DENSE_KERNEL_LIMIT:
         # construction labeling is already deterministic; canonicalizing a
         # near-multipartite host would fight its huge automorphism group
         g = embed_in_part(best["sizes"], best["host"], from_graph6(best["g0"]).edges())
-        assert isinstance(g, Graph)
         witnesses = (to_graph6(g),)
     winner = {
         "part_sizes": list(best["sizes"]),

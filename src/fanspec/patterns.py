@@ -233,10 +233,10 @@ def contains_fan(g: AnyGraph, spec: FanSpec | tuple[int, int]) -> FanWitness | N
     which keeps the first k members of each class of false twins.  A fan
     has independence number k, so each of its k cliques takes at most one
     member of a class, and a fan with a given center exists in ``g``
-    exactly when it exists in the reduction.  The graph type only decides
-    how the classes are found: a dense ``Graph`` groups equal rows, and a
-    ``StructuredGraph`` reads them off its twin cells.  A dense graph in
-    which no class has more than k members is searched as it is.
+    exactly when it exists in the reduction.  A ``StructuredGraph`` is
+    the blow-up of its classes and reduces with no pass over its
+    vertices; a dense ``Graph`` finds them by grouping equal rows, and one
+    in which no class has more than k members is searched as it is.
 
     Candidate centers are scanned in decreasing order of their degree in
     ``g`` (only vertices of degree >= k(r-1) can host the intersection),

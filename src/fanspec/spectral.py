@@ -3,17 +3,19 @@ Rayleigh quotients, the multipartite eigenvalue equation and characteristic
 polynomial, and the signless Laplacian largest eigenvalue.
 
 One driver, ``_spectrum``, serves the adjacency and the signless Laplacian
-radius for both graph types, on one path: the graph type only decides how
-its twin cells, the classes of false twins, are found (``twin_cells``).
-They form an equitable partition (Brouwer & Haemers, *Spectra of Graphs*
+radius for both graph types, on one path: it reads the graph as the
+blow-up of its twin cells, the classes of false twins (``twin_cells``,
+which a ``StructuredGraph`` already is and a dense ``Graph`` builds by
+grouping equal rows), through ``.rows``, ``.sizes`` and ``.runs``.  The
+cells form an equitable partition (Brouwer & Haemers, *Spectra of Graphs*
 2.3; Godsil & Royle, *Algebraic Graph Theory* 9.3), so ``_pieces`` works
 on the cell values of each component, with the quotient matrix
 B = A_sub * sizes: at most n cells for a dense ``Graph`` (n <= 64 in
-practice), at most #parts + #patch vertices for a ``StructuredGraph``
-whatever n is.  Cells are ordered by size, so graphs that differ only in
-which of several equal parts holds the patch get the same quotient and
-bit-identical results, and ties between them fall to the caller's explicit
-key, not to rounding.  Components are taken by lowest vertex, and the first
+practice), and for a host plus a small embedded graph at most #parts +
+#embedded vertices whatever n is.  Cells are ordered by size, so graphs
+that differ only in which of several equal parts holds the patch get the
+same quotient and bit-identical results, and ties between them fall to the
+caller's explicit key, not to rounding.  Components are taken by lowest vertex, and the first
 one wins ties; an edgeless graph gives e_0.  The patch-free quotient is the
 equation sum_i n_i / (lambda + n_i) = 1 of ``multipartite_spectral_radius``.
 

@@ -1,6 +1,7 @@
 """Graph core: construction invariants, composition, graph6 codec."""
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -19,7 +20,7 @@ from fanspec import (
     path_graph,
     to_graph6,
 )
-from fanspec.graphs import consecutive_partition
+from fanspec.graphs import _multipartite_rows, consecutive_partition
 
 
 def random_graph(n, p, rng):
@@ -32,6 +33,66 @@ def any_graph(data, st, max_n):
     pairs = list(combinations(range(n), 2))
     bits = data.draw(st.integers(0, (1 << len(pairs)) - 1))
     return Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+
+
+def twinned_graph(data, st, max_n):
+    """A hypothesis draw of a graph with many false twins: each vertex gets
+    one of four types, two vertices are adjacent when their types are
+    joined, and then up to three pairs are flipped.  Edgeless,
+    disconnected and one-cell graphs are all in range."""
+    n = data.draw(st.integers(0, max_n))
+    types = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    joined = data.draw(st.sets(st.sampled_from(list(combinations(range(4), 2)))))
+    pairs = list(combinations(range(n), 2))
+    flips = data.draw(st.sets(st.sampled_from(pairs), max_size=3)) if pairs else set()
+    return Graph(
+        n,
+        [
+            (u, v)
+            for u, v in pairs
+            if (tuple(sorted((types[u], types[v]))) in joined) != ((u, v) in flips)
+        ],
+    )
+
+
+def assert_same_graph(sg, g):
+    """Every query of the blow-up `sg` agrees with the dense graph `g`."""
+    assert sg.n == g.n
+    assert sg.to_graph() == g
+    assert sg.degrees() == g.degrees() == [sg.degree(v) for v in range(g.n)]
+    assert sg.edge_count() == g.edge_count
+    assert sg.is_connected() == g.is_connected()
+    for u in range(g.n):
+        for v in range(g.n):
+            assert sg.has_edge(u, v) == g.has_edge(u, v)
+    for bad in (-1, g.n):
+        with pytest.raises(ValueError):
+            sg.degree(bad)
+        with pytest.raises(ValueError):
+            sg.has_edge(bad, 0)
+
+
+def assert_equitable(g):
+    """The cells of `g` by size, ties by lowest vertex; the runs tile
+    0..n-1; every vertex of cell i has sizes[j] neighbours in cell j when
+    bit j of rows[i] is set and none otherwise."""
+    dense = g if isinstance(g, Graph) else g.to_graph()
+    cells = g.twin_cells()
+    assert isinstance(cells, StructuredGraph) and cells.twin_cells() is cells
+    assert sum(cells.sizes) == g.n
+    bounds = [0] + [b for _, b, _ in cells.runs]
+    assert [a for a, _, _ in cells.runs] == bounds[:-1] and bounds[-1] == g.n
+    assert all(a < b for a, b, _ in cells.runs)
+    members = [[] for _ in cells.sizes]
+    for a, b, c in cells.runs:
+        members[c].extend(range(a, b))
+    assert [(len(m), m[0]) for m in members] == sorted((len(m), m[0]) for m in members)
+    assert list(map(len, members)) == list(cells.sizes)
+    for c, mc in enumerate(members):
+        assert len({dense.rows[u] for u in mc}) == 1
+        for d, md in enumerate(members):
+            want = cells.sizes[d] if cells.rows[c] >> d & 1 else 0
+            assert {sum(dense.has_edge(u, w) for w in md) for u in mc} == {want}
 
 
 def all_labeled_graphs(n):
@@ -201,6 +262,20 @@ class TestGraph6:
             assert text == nx.to_graph6_bytes(theirs, header=False).decode().strip()
             assert from_graph6(text) == g
 
+    def test_encoding_peak_memory(self):
+        # packed column by column: a '0'/'1' string of the whole upper
+        # triangle would alone be six times the output (the bytes are
+        # checked against networkx above)
+        g = StructuredGraph((1000, 1000, 1000), [(0, 1), (0, 2), (1, 2)]).to_graph()
+        tracemalloc.start()
+        try:
+            text = to_graph6(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) == 4 + (3000 * 2999 // 2 + 5) // 6
+        assert peak < 3 * len(text)
+
     def test_path_and_cycle_sanity(self):
         assert path_graph(4).edge_count == 3
         assert cycle_graph(4).edge_count == 4
@@ -221,6 +296,17 @@ class TestGraph6:
 
 
 class TestStructuredGraph:
+    # (part sizes, patch) -> cell sizes
+    CASES = {
+        ((4, 3, 2), ((0, 2), (4, 5))): (1, 1, 1, 1, 1, 2, 2),
+        ((2, 3), ((0, 1),)): (1, 1, 3),
+        ((5, 1, 1), ()): (1, 1, 5),
+        ((3, 0, 4), ((3, 5),)): (1, 1, 2, 3),
+        # patch vertices 1 and 2 are twins: one cell when dense
+        ((3, 3), ((0, 1), (0, 2))): (1, 1, 1, 3),
+        ((0, 5, 1), ()): (1, 5),
+    }
+
     def test_layout_and_adjacency(self):
         sg = StructuredGraph((3, 2), [(0, 1)])
         assert sg.n == 5
@@ -243,48 +329,51 @@ class TestStructuredGraph:
         assert StructuredGraph((1, 1)).is_connected()
 
     def test_dense_agreement(self):
-        sg = StructuredGraph((4, 3, 2), [(0, 2), (4, 5)])
-        g = sg.to_graph()
-        for u in range(sg.n):
-            assert sg.degree(u) == g.degree(u)
-            for v in range(sg.n):
-                assert sg.has_edge(u, v) == g.has_edge(u, v)
+        # the blow-up built from parts and patch against the rows built
+        # vertex by vertex from the same parts and patch
+        rng = random.Random(41)
+        cases = list(self.CASES)
+        while len(cases) < 40:
+            sizes = [rng.randint(0, 6) for _ in range(rng.randint(2, 5))]
+            if sum(1 for s in sizes if s) < 2:
+                continue
+            start, patch = 0, set()
+            for s in sizes:
+                pairs = combinations(range(start, start + s), 2)
+                patch.update(e for e in pairs if rng.random() < 0.3)
+                start += s
+            cases.append((tuple(sizes), tuple(sorted(patch))))
+        for sizes, patch in cases:
+            ref = Graph._from_rows_unchecked(_multipartite_rows(sizes, patch))
+            assert_same_graph(StructuredGraph(sizes, patch), ref)
+
+    def test_blow_up_of_dense_graph(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(data=st.data())
+        def agree(data):
+            g = twinned_graph(data, st, 14)
+            assert_same_graph(g.twin_cells(), g)
+            assert_equitable(g)
+
+        agree()
+        # edgeless, one cell, disconnected, all singleton cells
+        for g in (Graph(0), Graph(1), Graph(5), Graph(6, [(0, 1), (2, 3), (4, 5)]), path_graph(4)):
+            assert_same_graph(g.twin_cells(), g)
+            assert_equitable(g)
 
     def test_twin_cells_are_equitable(self):
-        # cells by size, ties by lowest vertex; the runs tile 0..n-1; every
-        # vertex of cell i has sizes[j] neighbours in cell j when bit j of
-        # rows[i] is set and none otherwise
-        cases = {
-            ((4, 3, 2), ((0, 2), (4, 5))): (1, 1, 1, 1, 1, 2, 2),
-            ((2, 3), ((0, 1),)): (1, 1, 3),
-            ((5, 1, 1), ()): (1, 1, 5),
-            ((3, 0, 4), ((3, 5),)): (1, 1, 2, 3),
-            # patch vertices 1 and 2 are twins: one cell when dense
-            ((3, 3), ((0, 1), (0, 2))): (1, 1, 1, 3),
-        }
         checked = [Graph(0), Graph(4), Graph(7, [(0, 3), (1, 3), (2, 4), (5, 6)])]
-        for (sizes, patch), want in cases.items():
+        for (sizes, patch), want in self.CASES.items():
             sg = StructuredGraph(sizes, patch)
-            assert sg.twin_cells().sizes == want
+            assert sg.twin_cells() is sg and sg.sizes == want
             checked += [sg, sg.to_graph()]
-        assert checked[-1].twin_cells().sizes == (1, 2, 3)
+        dense = StructuredGraph((3, 3), ((0, 1), (0, 2))).to_graph()
+        assert dense.twin_cells().sizes == (1, 2, 3)
         for g in checked:
-            dense = g if isinstance(g, Graph) else g.to_graph()
-            cells = g.twin_cells()
-            assert sum(cells.sizes) == g.n
-            bounds = [0] + [b for _, b, _ in cells.runs]
-            assert [a for a, _, _ in cells.runs] == bounds[:-1] and bounds[-1] == g.n
-            assert all(a < b for a, b, _ in cells.runs)
-            members = [[] for _ in cells.sizes]
-            for a, b, c in cells.runs:
-                members[c].extend(range(a, b))
-            assert [(len(m), m[0]) for m in members] == sorted((len(m), m[0]) for m in members)
-            assert list(map(len, members)) == list(cells.sizes)
-            for c, mc in enumerate(members):
-                assert len({dense.rows[u] for u in mc}) == 1
-                for d, md in enumerate(members):
-                    want = cells.sizes[d] if cells.rows[c] >> d & 1 else 0
-                    assert {sum(dense.has_edge(u, w) for w in md) for u in mc} == {want}
+            assert_equitable(g)
 
 
 class TestVertexPartition:

@@ -29,6 +29,7 @@ from fanspec import (
 import fanspec.canon as canon
 import fanspec.oracle as oracle
 from fanspec.canon import canonical_info, orbits_from_perms, permuted_rows
+from fanspec.families import embed_in_part
 from fanspec.oracle import (
     _bounded_pred,
     _children_of_parent_aug,
@@ -577,7 +578,8 @@ class TestFamilySearch:
 
     def test_reports_at_n64(self):
         # members with at most 64 vertices are dense graphs; the dense
-        # search took 95 s for (3,4) here before it ran on twin classes
+        # search took 95 s for (3,4) here before it ran on twin classes.
+        # The witness is the winning member itself, written as graph6.
         for spec, examined, sizes, g0, host, edges, lam in (
             ((2, 4), 12, [22, 21, 21], "A_", 1, 1366, 42.6920573981),
             ((3, 4), 84, [22, 21, 21], "EJaG", 1, 1371, 42.8570085244),
@@ -591,6 +593,10 @@ class TestFamilySearch:
                 "edges": edges,
                 "lambda": pytest.approx(lam, abs=1e-10),
             }
+            (witness,) = rep.witnesses
+            member = embed_in_part(sizes, host, from_graph6(g0).edges())
+            assert isinstance(member, Graph)
+            assert from_graph6(witness) == member
 
     def test_equal_part_ties_go_to_the_key(self):
         # members that differ only in which of several equal parts hosts g0

@@ -38,9 +38,10 @@ def random_graph(n, p, rng):
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
 
 
-def random_structured(n, rng, max_patch=None):
-    """StructuredGraph on n vertices: 2-5 random part sizes (two nonempty
-    at least) and random edges inside random parts."""
+def random_parts(n, rng, max_patch=None):
+    """Part sizes and patch of a StructuredGraph on n vertices: 2-5 random
+    part sizes (two nonempty at least) and random edges inside random
+    parts."""
     while True:
         cuts = sorted(rng.sample(range(1, n), rng.randint(1, 4)))
         sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
@@ -53,7 +54,11 @@ def random_structured(n, rng, max_patch=None):
         if sizes[i] >= 2:
             a, b = rng.sample(range(sizes[i]), 2)
             patch.add((starts[i] + min(a, b), starts[i] + max(a, b)))
-    return StructuredGraph(sizes, patch)
+    return sizes, patch
+
+
+def random_structured(n, rng, max_patch=None):
+    return StructuredGraph(*random_parts(n, rng, max_patch))
 
 
 def _adjacency(g):
@@ -236,12 +241,13 @@ class TestSpectralRadius:
         spla = pytest.importorskip("scipy.sparse.linalg")
         rng = random.Random(23)
         for _ in range(4):
-            sg = random_structured(rng.randint(9000, 11000), rng, max_patch=40)
+            sizes, edges = random_parts(rng.randint(9000, 11000), rng, max_patch=40)
+            sg = StructuredGraph(sizes, edges)
             n = sg.n
-            part = np.repeat(np.arange(len(sg.sizes)), sg.sizes)
-            b = sp.csr_matrix((np.ones(n), (part, np.arange(n))), shape=(len(sg.sizes), n))
-            rows = [a for a, _ in sg.patch] + [b_ for _, b_ in sg.patch]
-            cols = [b_ for _, b_ in sg.patch] + [a for a, _ in sg.patch]
+            part = np.repeat(np.arange(len(sizes)), sizes)
+            b = sp.csr_matrix((np.ones(n), (part, np.arange(n))), shape=(len(sizes), n))
+            rows = [a for a, _ in edges] + [b_ for _, b_ in edges]
+            cols = [b_ for _, b_ in edges] + [a for a, _ in edges]
             patch = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
             degrees = (n - np.asarray(b.sum(axis=1)).ravel()[part]) + np.asarray(
                 patch.sum(axis=1)

@@ -44,6 +44,8 @@ from .oracle import (
 )
 from .patterns import contains_fan
 from .spectral import (
+    DEFAULT_MAX_ITERS,
+    DEFAULT_TOL,
     ConvergenceError,
     multipartite_charpoly_eval,
     signless_laplacian_spectrum,
@@ -81,13 +83,13 @@ def parse_construct_spec(text: str) -> AnyGraph:
 
 
 def _input_graphs(args) -> list[AnyGraph]:
-    if sum(1 for s in (args.construct, args.g6, args.file) if s) > 1:
+    if sum(1 for s in (args.construct, args.g6, args.file) if s is not None) > 1:
         raise ValueError("give exactly one graph source")
-    if args.construct:
+    if args.construct is not None:
         return [parse_construct_spec(args.construct)]
-    if args.g6:
+    if args.g6 is not None:
         return [from_graph6(args.g6)]
-    if args.file:
+    if args.file is not None:
         with open(args.file) as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
     else:
@@ -107,9 +109,8 @@ def _spectrum_json(res, want_vector: bool) -> dict:
 
 
 def _emit(args, text: str) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -124,7 +125,10 @@ def _cmd_construct(args) -> int:
 
 def _parse_sweep(text: str) -> tuple[str, range]:
     var, _, spec = text.partition("=")
-    start, step, stop = (int(x) for x in spec.split(":"))
+    try:
+        start, step, stop = (int(x) for x in spec.split(":"))
+    except ValueError:
+        raise ValueError(f"--sweep takes n=START:STEP:STOP, not {text!r}") from None
     if step == 0:
         raise ValueError("--sweep step must not be 0")
     return var, range(start, stop + (1 if step > 0 else -1), step)
@@ -216,6 +220,11 @@ def _enum_cap() -> int:
     return int(os.environ.get("FANSPEC_MAX_N", DEFAULT_ENUM_CAP))
 
 
+def _report(args, report) -> int:
+    _emit(args, report.to_json(timing=not args.no_timing))
+    return 0
+
+
 def _cmd_brute(args) -> int:
     report = brute_force_extremal(
         args.n,
@@ -228,20 +237,20 @@ def _cmd_brute(args) -> int:
         resume=args.resume,
         checkpoint_every=args.checkpoint_every,
     )
-    _emit(args, report.to_json(timing=not args.no_timing))
-    return 0
+    return _report(args, report)
 
 
 def _cmd_brutef(args) -> int:
     report = brute_force_f_report(
         args.beta, args.delta, args.nmax, jobs=args.jobs, cap=_enum_cap()
     )
-    _emit(args, report.to_json(timing=not args.no_timing))
-    return 0
+    return _report(args, report)
 
 
 def _cmd_family(args) -> int:
-    report = family_search(
+    """`family`, or `verify` when args.theorem is set."""
+    search = verify_main_theorem if args.theorem else family_search
+    report = search(
         args.n,
         (args.k, args.r),
         args.imbalance,
@@ -249,21 +258,7 @@ def _cmd_family(args) -> int:
         jobs=args.jobs,
         cap=_enum_cap(),
     )
-    _emit(args, report.to_json(timing=not args.no_timing))
-    return 0
-
-
-def _cmd_verify(args) -> int:
-    report = verify_main_theorem(
-        args.n,
-        (args.k, args.r),
-        args.imbalance,
-        tol=args.tol,
-        jobs=args.jobs,
-        cap=_enum_cap(),
-    )
-    _emit(args, report.to_json(timing=not args.no_timing))
-    return 0
+    return _report(args, report)
 
 
 def _add_graph_source(p: argparse.ArgumentParser) -> None:
@@ -273,9 +268,9 @@ def _add_graph_source(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common_numeric(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-10, help="eigen-residual tolerance")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="eigen-residual tolerance")
     p.add_argument(
-        "--max-iters", type=int, default=10**6, help="power-iteration budget"
+        "--max-iters", type=int, default=DEFAULT_MAX_ITERS, help="power-iteration budget"
     )
 
 
@@ -284,6 +279,19 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
     return value
+
+
+def _add_search(sub, name: str, what: str, func, *required_ints: str) -> argparse.ArgumentParser:
+    """A search command's parser with the flags every search takes: its
+    required integers, then --jobs, --out and --no-timing."""
+    p = sub.add_parser(name, help=what)
+    for flag in required_ints:
+        p.add_argument(f"--{flag}", type=int, required=True)
+    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--out", help="write the JSON report to this file")
+    p.add_argument("--no-timing", action="store_true", help="null wall_seconds")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,52 +364,27 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--raw", action="store_true", help="print the bare integer")
     pt.set_defaults(func=_cmd_turannum)
 
-    pb = sub.add_parser("brute", help="exhaustive extremal search")
-    pb.add_argument("--n", type=int, required=True)
-    pb.add_argument("--k", type=int, required=True)
-    pb.add_argument("--r", type=int, required=True)
+    pb = _add_search(sub, "brute", "exhaustive extremal search", _cmd_brute, "n", "k", "r")
     pb.add_argument("--mode", choices=["edges", "lambda"], default="edges")
-    pb.add_argument("--jobs", type=_positive_int, default=1)
-    pb.add_argument("--tol", type=float, default=1e-10)
-    pb.add_argument("--out", help="write the JSON report to this file")
+    pb.add_argument("--tol", type=float, default=DEFAULT_TOL)
     pb.add_argument("--checkpoint", help="sidecar JSON for checkpoint/resume")
     pb.add_argument("--resume", action="store_true", help="resume from checkpoint")
     pb.add_argument(
         "--checkpoint-every", type=int, help="classes between checkpoints (default 10^6)"
     )
-    pb.add_argument("--no-timing", action="store_true", help="null wall_seconds")
-    pb.set_defaults(func=_cmd_brute)
 
-    pf = sub.add_parser("brutef", help="bounded degree+matching edge maximum")
-    pf.add_argument("--beta", type=int, required=True)
-    pf.add_argument("--delta", type=int, required=True)
-    pf.add_argument("--nmax", type=int, required=True)
-    pf.add_argument("--jobs", type=_positive_int, default=1)
-    pf.add_argument("--out", help="write the JSON report to this file")
-    pf.add_argument("--no-timing", action="store_true", help="null wall_seconds")
-    pf.set_defaults(func=_cmd_brutef)
+    _add_search(
+        sub, "brutef", "bounded degree+matching edge maximum", _cmd_brutef, "beta", "delta", "nmax"
+    )
 
-    pm = sub.add_parser("family", help="structured family spectral search")
-    pm.add_argument("--n", type=int, required=True)
-    pm.add_argument("--k", type=int, required=True)
-    pm.add_argument("--r", type=int, required=True)
-    pm.add_argument("--imbalance", type=int, default=2)
-    pm.add_argument("--jobs", type=_positive_int, default=1)
-    pm.add_argument("--tol", type=float, default=1e-10)
-    pm.add_argument("--out", help="write the JSON report to this file")
-    pm.add_argument("--no-timing", action="store_true", help="null wall_seconds")
-    pm.set_defaults(func=_cmd_family)
-
-    pv = sub.add_parser("verify", help="family winner vs closed-form edge count")
-    pv.add_argument("--n", type=int, required=True)
-    pv.add_argument("--k", type=int, required=True)
-    pv.add_argument("--r", type=int, required=True)
-    pv.add_argument("--imbalance", type=int, default=2)
-    pv.add_argument("--jobs", type=_positive_int, default=1)
-    pv.add_argument("--tol", type=float, default=1e-10)
-    pv.add_argument("--out", help="write the JSON report to this file")
-    pv.add_argument("--no-timing", action="store_true", help="null wall_seconds")
-    pv.set_defaults(func=_cmd_verify)
+    for name, what, theorem in (
+        ("family", "structured family spectral search", False),
+        ("verify", "family winner vs closed-form edge count", True),
+    ):
+        pm = _add_search(sub, name, what, _cmd_family, "n", "k", "r")
+        pm.add_argument("--imbalance", type=int, default=2)
+        pm.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        pm.set_defaults(theorem=theorem)
 
     return top
 
@@ -412,18 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ConvergenceError as exc:
-        best = exc.result
-        print(
-            json.dumps(
-                {
-                    "error": str(exc),
-                    "lambda": _round12(best.lam),
-                    "residual": _round12(best.residual),
-                    "iterations": best.iterations,
-                }
-            ),
-            file=sys.stderr,
-        )
+        print(json.dumps({"error": str(exc), **_spectrum_json(exc.result, False)}), file=sys.stderr)
         return 3
     except (ValueError, Graph6Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -273,13 +273,6 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     return Graph._from_rows_unchecked(tuple(_mask_image(g.rows[v] & keep, index) for v in vs))
 
 
-def induced_subgraph_mask(g: Graph, mask: int) -> tuple[Graph, list[int]]:
-    """Induced subgraph on a vertex bitmask plus the new->old vertex map."""
-    vs = list(_mask_bits(mask))
-    sub = induced_subgraph(g, vs)
-    return sub, vs
-
-
 @dataclass(frozen=True)
 class VertexPartition:
     """Ordered partition of the vertex set into disjoint covering parts.

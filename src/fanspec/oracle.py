@@ -92,7 +92,7 @@ from .graphs import (
     to_graph6,
 )
 from .patterns import clique_packing_number, contains_fan, matching_number
-from .spectral import _check_tol, multipartite_spectral_radius, spectral_radius
+from .spectral import DEFAULT_TOL, _check_tol, multipartite_spectral_radius, spectral_radius
 
 DEFAULT_ENUM_CAP = 10
 LAMBDA_WITNESS_WINDOW = 1e-8
@@ -245,8 +245,15 @@ def _round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
+class _Report:
+    """A report's JSON line: its `to_json_dict` as one line of JSON."""
+
+    def to_json(self, timing: bool = True) -> str:
+        return json.dumps(self.to_json_dict(timing=timing))
+
+
 @dataclass
-class ExtremalReport:
+class ExtremalReport(_Report):
     """Outcome of an exhaustive or family search for extremal values."""
 
     n: int
@@ -282,9 +289,6 @@ class ExtremalReport:
         if self.winner is not None:
             d["winner"] = self.winner
         return d
-
-    def to_json(self, timing: bool = True) -> str:
-        return json.dumps(self.to_json_dict(timing=timing))
 
 
 def _formula_or_none(n: int, spec: FanSpec) -> FormulaResult | None:
@@ -387,7 +391,7 @@ def brute_force_extremal(
     spec: FanSpec | tuple[int, int],
     mode: str = "edges",
     *,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
     jobs: int = 1,
     cap: int = DEFAULT_ENUM_CAP,
     checkpoint_path: str | None = None,
@@ -417,6 +421,8 @@ def brute_force_extremal(
         raise ValueError("checkpoint_every needs a checkpoint path")
     elif checkpoint_every < 1:
         raise ValueError("checkpoint_every must be at least 1")
+    if checkpoint_path and not os.path.isdir(os.path.dirname(os.path.abspath(checkpoint_path))):
+        raise ValueError(f"checkpoint directory of {checkpoint_path!r} does not exist")
     t0 = time.monotonic()
 
     for _, parents in _levels(n - 1):
@@ -536,7 +542,7 @@ def _scan_f_parent(parent: ClassRep, beta: int, delta: int) -> list[int]:
 
 
 @dataclass
-class BoundedEdgeReport:
+class BoundedEdgeReport(_Report):
     beta: int
     delta: int
     n_max: int
@@ -553,9 +559,6 @@ class BoundedEdgeReport:
             "graphs_examined": self.graphs_examined,
             "wall_seconds": self.wall_seconds if timing else None,
         }
-
-    def to_json(self, timing: bool = True) -> str:
-        return json.dumps(self.to_json_dict(timing=timing))
 
 
 def brute_force_f_report(
@@ -677,7 +680,7 @@ def family_search(
     spec: FanSpec | tuple[int, int],
     max_imbalance: int = 2,
     *,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
     jobs: int = 1,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> ExtremalReport:
@@ -698,32 +701,26 @@ def family_search(
             f"no part sizes for n={n} in {spec.r - 1} parts with imbalance "
             f"at most {max_imbalance}"
         )
-    candidates = g0_candidates(spec.k, cap=cap)
+    candidates = [(to_graph6(cand.graph), cand.graph.n) for cand in g0_candidates(spec.k, cap=cap)]
     members = []
     for sizes in vectors:
-        for cand in candidates:
+        for g0_g6, order in candidates:
             for host in range(len(sizes)):
-                if sizes[host] < cand.graph.n:
+                if sizes[host] < order:
                     continue
-                members.append((sizes, to_graph6(cand.graph), host))
+                members.append((sizes, g0_g6, host))
 
     examined = 0
     free_count = 0
-    best: dict | None = None
+    best = best_key = None
     for rec in _map(partial(_scan_family_member, spec=spec, tol=tol), members, jobs):
         examined += 1
         if not rec["free"]:
             continue
         free_count += 1
         key = (rec["lam"], rec["edges"], rec["sizes"], rec["g0"], -rec["host"])
-        if best is None or key > (
-            best["lam"],
-            best["edges"],
-            best["sizes"],
-            best["g0"],
-            -best["host"],
-        ):
-            best = rec
+        if best is None or key > best_key:
+            best, best_key = rec, key
 
     if best is None:
         raise RuntimeError("no fan-free member in the family sweep")
@@ -757,7 +754,7 @@ def family_search(
 
 
 @dataclass
-class MainTheoremReport:
+class MainTheoremReport(_Report):
     """Does the family's spectral maximizer have exactly the closed-form
     extremal edge count; optionally cross-checked against the unrestricted
     brute-force maximizer at tiny orders (reported, never asserted)."""
@@ -790,16 +787,13 @@ class MainTheoremReport:
             "wall_seconds": self.wall_seconds if timing else None,
         }
 
-    def to_json(self, timing: bool = True) -> str:
-        return json.dumps(self.to_json_dict(timing=timing))
-
 
 def verify_main_theorem(
     n: int,
     spec: FanSpec | tuple[int, int],
     max_imbalance: int = 2,
     *,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
     jobs: int = 1,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> MainTheoremReport:

@@ -18,7 +18,7 @@ from .graphs import (
     VertexPartition,
     _components,
     _mask_bits,
-    induced_subgraph_mask,
+    induced_subgraph,
 )
 
 
@@ -393,7 +393,7 @@ def check_partition_inequality(
     parts.validate(g.n)
     masks = parts.part_masks()
     p = len(masks)
-    subs = [induced_subgraph_mask(g, m)[0] for m in masks]
+    subs = [induced_subgraph(g, _mask_bits(m)) for m in masks]
     e_in = [s.edge_count for s in subs]
     betas = [matching_number(s) for s in subs]
     deltas = [max(s.degrees(), default=0) for s in subs]
@@ -418,8 +418,7 @@ def check_partition_inequality(
             for j in range(p):
                 if j == i or acc > k - 1:
                     continue
-                nbr_sub, _ = induced_subgraph_mask(g, g.rows[v] & masks[j])
-                acc += matching_number(nbr_sub)
+                acc += matching_number(induced_subgraph(g, _mask_bits(g.rows[v] & masks[j])))
             if acc > k - 1:
                 hyp2 = False
                 break

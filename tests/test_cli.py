@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from fanspec import canonical_form, complete_graph, from_graph6, to_graph6, turan_graph
+from fanspec import cli
 from fanspec.cli import build_parser, fmt12, main, parse_construct_spec
 
 
@@ -134,7 +135,10 @@ class TestLambda:
              "--max-iters", "2"]
         )
         assert code == 3
-        assert "residual" in err
+        d = json.loads(err)
+        assert list(d) == ["error", "lambda", "residual", "iterations"]
+        assert d["iterations"] == 2
+        assert d["residual"] > 1e-15
 
     @pytest.mark.parametrize(
         "cmd, spec, lam",
@@ -288,12 +292,15 @@ class TestHelpAndErrors:
             "check": ["--k", "--r", "--witness", "--g6", "--file"],
             "turannum": ["--n", "--k", "--r", "--raw"],
             "charpoly": ["--sizes", "--x", "--raw"],
-            "brute": ["--n", "--k", "--r", "--mode", "--jobs", "--out",
-                      "--resume", "--checkpoint", "--no-timing"],
-            "brutef": ["--beta", "--delta", "--nmax", "--jobs"],
-            "family": ["--n", "--k", "--r", "--imbalance", "--jobs"],
-            "verify": ["--n", "--k", "--r", "--imbalance", "--jobs"],
+            "brute": ["--n", "--k", "--r", "--mode", "--tol", "--resume", "--checkpoint",
+                      "--checkpoint-every"],
+            "brutef": ["--beta", "--delta", "--nmax"],
+            "family": ["--n", "--k", "--r", "--imbalance", "--tol"],
+            "verify": ["--n", "--k", "--r", "--imbalance", "--tol"],
         }
+        # the flags every search shares
+        for cmd in ("brute", "brutef", "family", "verify"):
+            helps[cmd] += ["--jobs", "--out", "--no-timing"]
         sub_actions = next(
             a for a in parser._actions if getattr(a, "choices", None)
         )
@@ -351,6 +358,15 @@ class TestHelpAndErrors:
             resume_brute5(cands=[["DF{", "7"]]),
             resume_brute5(cands=[[7, 7]]),
             resume_brute5(cands=[["A_", 1]]),  # a witness on 2 vertices
+            # an empty source is bad input, not "read stdin"
+            ["lambda", "--g6", ""],
+            ["lambda", "--construct", ""],
+            ["lambda", "--file", ""],
+            ["qlambda", "--g6", ""],
+            ["check", "--k", "2", "--r", "3", "--g6", ""],
+            ["lambda", "--construct", "turan:{n},2", "--sweep", "n=1:1"],
+            ["lambda", "--construct", "turan:{n},2", "--sweep", "n=a:1:3"],
+            ["lambda", "--construct", "turan:{n},2", "--sweep", "n=1:1:3:4"],
         ],
         ids=lambda argv: " ".join(map(str, argv[:1] + argv[-2:])),
     )
@@ -359,11 +375,38 @@ class TestHelpAndErrors:
             ckpt = tmp_path / "state.json"
             ckpt.write_text(json.dumps({**BRUTE5_CHECKPOINT, **argv[-1]}))
             argv = [*argv[:-1], str(ckpt)]
-        code, out, err = run_cli(argv)
+        # a graph in stdin: a command that fell back to reading it would exit 0
+        code, out, err = run_cli(argv, stdin="B?\n")
         assert code == 2
         assert err.startswith("error:")
         assert "Traceback" not in err
         assert out == ""
+        if argv[-1] in ("n=1:1", "n=a:1:3", "n=1:1:3:4"):
+            assert "--sweep takes n=START:STEP:STOP" in err
+
+    def test_checkpoint_in_missing_directory_is_exit_2(self, tmp_path):
+        ckpt = tmp_path / "missing" / "state.json"
+        argv = ["brute", "--n", "5", "--k", "2", "--r", "3", "--checkpoint", str(ckpt)]
+        for extra in (["--checkpoint-every", "1"], []):
+            code, out, err = run_cli(argv + extra)
+            assert (code, out) == (2, "")
+            assert err.startswith("error:") and "does not exist" in err
+        assert not ckpt.parent.exists()
+
+    @pytest.mark.parametrize(
+        "cmd, name",
+        [("brute", "brute_force_extremal"), ("family", "family_search"),
+         ("verify", "verify_main_theorem")],
+    )
+    def test_searches_call_the_module_bindings(self, monkeypatch, capsys, cmd, name):
+        # a command looks its search up when it runs, so a name rebound on
+        # the cli module after import (as a tracer does) is the one called
+        calls = []
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        assert main([cmd, "--n", "5", "--k", "1", "--r", "3", "--no-timing"]) == 0
+        assert len(calls) == 1 and calls[0][0] == 5
+        assert json.loads(capsys.readouterr().out)["n"] == 5
 
     @pytest.mark.parametrize("every", ["0", "-3"])
     def test_checkpoint_every_below_one_is_exit_2(self, tmp_path, every):

@@ -338,6 +338,21 @@ class TestBruteForceExtremal:
             brute_force_extremal(5, (1, 3), "edges", checkpoint_every=5)
         assert not (tmp_path / "state.json").exists()
 
+    def test_missing_checkpoint_directory_rejected_before_enumeration(
+        self, tmp_path, monkeypatch
+    ):
+        # found at the first save it would cost the work before it, and a
+        # run with fewer classes than checkpoint_every would never save
+        def enumerate_nothing(*args, **kwargs):
+            raise AssertionError("enumerated before checking the checkpoint path")
+
+        monkeypatch.setattr(oracle, "_levels", enumerate_nothing)
+        ckpt = str(tmp_path / "missing" / "state.json")
+        for every in (1, None):
+            with pytest.raises(ValueError, match="does not exist"):
+                brute_force_extremal(5, (2, 3), "edges", checkpoint_path=ckpt, checkpoint_every=every)
+        assert not (tmp_path / "missing").exists()
+
     def test_bad_tol_rejected_before_enumeration(self, monkeypatch):
         def enumerate_nothing(*args, **kwargs):
             raise AssertionError("enumerated before checking tol")
@@ -604,6 +619,16 @@ class TestFamilySearch:
         # (lowest host) decides these ties, not rounding
         for n, spec in ((20, (2, 5)), (40, (2, 5)), (40, (3, 3))):
             assert family_search(n, spec).winner["host_part"] == 0
+
+    def test_encodes_each_candidate_once(self, monkeypatch):
+        # one graph6 per candidate, not one per (vector, host, candidate)
+        # member, plus the witness
+        calls = []
+        real = oracle.to_graph6
+        monkeypatch.setattr(oracle, "to_graph6", lambda g: calls.append(g) or real(g))
+        rep = family_search(40, (3, 3))
+        assert rep.graphs_examined > len(g0_candidates(3)) + 1
+        assert len(calls) == len(g0_candidates(3)) + 1
 
     def test_jobs_match(self):
         a = family_search(30, (2, 3), jobs=1).to_json(timing=False)

@@ -38,6 +38,7 @@ from .graphs import (
 from .oracle import (
     EnumerationCapError,
     ExtremalReport,
+    FamilyReport,
     G0Candidate,
     MainTheoremReport,
     brute_force_extremal,

@@ -36,7 +36,8 @@ from .formulas import fan_extremal_number
 from .graphs import AnyGraph, Graph6Error, from_graph6, to_graph6
 from .oracle import (
     DEFAULT_ENUM_CAP,
-    _round12,
+    _fields_json,
+    _json_value,
     brute_force_extremal,
     brute_force_f_report,
     family_search,
@@ -62,7 +63,7 @@ def fmt12(x: float) -> str:
 def parse_construct_spec(text: str) -> AnyGraph:
     name, _, rest = text.partition(":")
     try:
-        args = [int(a) for a in rest.split(",") if a != ""]
+        args = [int(a) for a in rest.split(",")] if rest else []
     except ValueError as exc:
         raise ValueError(f"bad constructor arguments in {text!r}") from exc
     if name == "turan" and len(args) == 2:
@@ -98,14 +99,10 @@ def _input_graphs(args) -> list[AnyGraph]:
 
 
 def _spectrum_json(res, want_vector: bool) -> dict:
-    d = {
-        "lambda": _round12(res.lam),
-        "residual": _round12(res.residual),
-        "iterations": res.iterations,
-    }
+    d = {"lambda": res.lam, "residual": res.residual, "iterations": res.iterations}
     if want_vector:
-        d["vector"] = [_round12(v) for v in res.vector.tolist()]
-    return d
+        d["vector"] = res.vector.tolist()
+    return _json_value(d)
 
 
 def _emit(args, text: str) -> None:
@@ -136,16 +133,19 @@ def _parse_sweep(text: str) -> tuple[str, range]:
 
 def _cmd_lambda(args) -> int:
     if args.sweep:
+        if args.g6 is not None or args.file is not None:
+            raise ValueError("give exactly one graph source")
         if not args.construct or "{n}" not in args.construct:
             raise ValueError("--sweep needs --construct with an {n} placeholder")
         var, rng = _parse_sweep(args.sweep)
         if var != "n":
             raise ValueError("only n-sweeps are supported")
-        print("n,lambda,residual,iterations")
+        lines = ["n,lambda,residual,iterations"]
         for n in rng:
             g = parse_construct_spec(args.construct.replace("{n}", str(n)))
             res = _run_spectrum(g, args)
-            print(f"{n},{fmt12(res.lam)},{fmt12(res.residual)},{res.iterations}")
+            lines.append(f"{n},{fmt12(res.lam)},{fmt12(res.residual)},{res.iterations}")
+        _emit(args, "\n".join(lines))
         return 0
     graphs = _input_graphs(args)
     outputs = []
@@ -190,10 +190,7 @@ def _cmd_check(args) -> int:
         if witness is not None:
             any_contains = True
             if args.witness:
-                rec["witness"] = {
-                    "center": witness.center,
-                    "cliques": [sorted(c) for c in witness.cliques],
-                }
+                rec["witness"] = _fields_json(witness)
         lines.append(json.dumps(rec))
     _emit(args, "\n".join(lines))
     return 1 if any_contains else 0
@@ -201,18 +198,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_turannum(args) -> int:
     res = fan_extremal_number(args.n, (args.k, args.r))
-    if args.raw:
-        print(res.value)
-    else:
-        print(
-            json.dumps(
-                {
-                    "value": res.value,
-                    "applicable": res.applicable,
-                    "threshold": res.threshold,
-                }
-            )
-        )
+    print(res.value if args.raw else json.dumps(_fields_json(res)))
     return 0
 
 

@@ -519,6 +519,10 @@ def to_graph6(g: Graph) -> str:
     return out.decode("ascii")
 
 
+# each graph6 payload character as its 6 bits
+_G6_BITS = {63 + v: format(v, "06b") for v in range(64)}
+
+
 def from_graph6(text: str) -> Graph:
     """Decode a graph6 string (n <= 258,047: the one-byte and four-byte
     size headers)."""
@@ -530,7 +534,7 @@ def from_graph6(text: str) -> Graph:
     for ch in s:
         if not (63 <= ord(ch) <= 126):
             raise Graph6Error(f"character {ch!r} outside graph6 range 63..126")
-    n, payload = ord(s[0]) - 63, s[1:]
+    n, pos = ord(s[0]) - 63, 1  # pos: the next payload character
     if n == 63:
         if len(s) < 4:
             raise Graph6Error("truncated long-form graph6 header")
@@ -539,22 +543,24 @@ def from_graph6(text: str) -> Graph:
         n = (ord(s[1]) - 63) << 12 | (ord(s[2]) - 63) << 6 | (ord(s[3]) - 63)
         if n <= 62:
             raise Graph6Error("long-form graph6 header for a graph of at most 62 vertices")
-        payload = s[4:]
-    nbits = n * (n - 1) // 2
-    need = (nbits + 5) // 6
-    if len(payload) < need:
+        pos = 4
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(s) - pos < need:
         raise Graph6Error("truncated graph6 bit payload")
-    if len(payload) > need:
+    if len(s) - pos > need:
         raise Graph6Error("excess characters after graph6 payload")
-    bits = "".join(format(ord(ch) - 63, "06b") for ch in payload)
-    if "1" in bits[nbits:]:
-        raise Graph6Error("nonzero padding bits")
     rows = [0] * n
-    pos = 0
+    bits = ""  # the bits read past the last column, fewer than 6
     for j in range(1, n):
-        col = int(bits[pos : pos + j][::-1], 2)  # bit i is x_ij
-        pos += j
+        # read only the characters that complete column j
+        more = -((len(bits) - j) // 6)
+        bits += s[pos : pos + more].translate(_G6_BITS)
+        pos += more
+        col = int(bits[:j][::-1], 2)  # bit i is x_ij
+        bits = bits[j:]
         rows[j] |= col
         for i in _mask_bits(col):
             rows[i] |= 1 << j
+    if "1" in bits:
+        raise Graph6Error("nonzero padding bits")
     return Graph._from_rows_unchecked(tuple(rows))

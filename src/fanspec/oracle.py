@@ -74,17 +74,17 @@ import multiprocessing
 import os
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
+from itertools import combinations_with_replacement
 from typing import Callable, Iterator, Sequence
 
 from .canon import CanonicalInfo, canonical_form, canonical_info, permuted_rows
 from .families import FanSpec, balanced_sizes, embed_in_part, fanspec_of
-from .formulas import FormulaResult, fan_extremal_number
+from .formulas import fan_extremal_number
 from .graphs import (
     DENSE_KERNEL_LIMIT,
     Graph,
-    StructuredGraph,
     _edge_count,
     _mask_bits,
     _mask_image,
@@ -245,56 +245,70 @@ def _round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
+def _json_value(x):
+    """x as JSON data: floats to 12 significant digits, tuples and lists as
+    lists, frozensets as sorted lists, dicts by value."""
+    if isinstance(x, float):
+        return _round12(x)
+    if isinstance(x, (tuple, list)):
+        return [_json_value(v) for v in x]
+    if isinstance(x, frozenset):
+        return [_json_value(v) for v in sorted(x)]
+    if isinstance(x, dict):
+        return {k: _json_value(v) for k, v in x.items()}
+    return x
+
+
+def _fields_json(record) -> dict:
+    """A dataclass record as a JSON object: its fields, in order."""
+    return {f.name: _json_value(getattr(record, f.name)) for f in fields(record)}
+
+
 class _Report:
-    """A report's JSON line: its `to_json_dict` as one line of JSON."""
+    """A report's JSON line: its fields in order, `wall_seconds` nulled
+    unless timing."""
 
     def to_json(self, timing: bool = True) -> str:
-        return json.dumps(self.to_json_dict(timing=timing))
+        d = _fields_json(self)
+        if not timing:
+            d["wall_seconds"] = None
+        return json.dumps(d)
 
 
 @dataclass
 class ExtremalReport(_Report):
-    """Outcome of an exhaustive or family search for extremal values."""
+    """Outcome of an exhaustive search for extremal values; the closed form
+    (`formula_value`, `applicable`) is None below clique order 3."""
 
     n: int
-    spec: FanSpec
+    k: int
+    r: int
     mode: str
     best_value: float | int | None
+    formula_value: int | None
+    applicable: bool | None
+    matches_formula: bool | None
     witnesses: tuple[str, ...]
     graphs_examined: int
     free_count: int
-    formula_value: FormulaResult | None
-    matches_formula: bool | None
     wall_seconds: float | None = None
-    winner: dict | None = None
-
-    def to_json_dict(self, timing: bool = True) -> dict:
-        best = self.best_value
-        if isinstance(best, float):
-            best = _round12(best)
-        d = {
-            "n": self.n,
-            "k": self.spec.k,
-            "r": self.spec.r,
-            "mode": self.mode,
-            "best_value": best,
-            "formula_value": self.formula_value.value if self.formula_value else None,
-            "applicable": self.formula_value.applicable if self.formula_value else None,
-            "matches_formula": self.matches_formula,
-            "witnesses": list(self.witnesses),
-            "graphs_examined": self.graphs_examined,
-            "free_count": self.free_count,
-            "wall_seconds": self.wall_seconds if timing else None,
-        }
-        if self.winner is not None:
-            d["winner"] = self.winner
-        return d
 
 
-def _formula_or_none(n: int, spec: FanSpec) -> FormulaResult | None:
+@dataclass(kw_only=True)
+class FamilyReport(ExtremalReport):
+    """Outcome of the structured family search, with its winning member:
+    part sizes, g0 graph6, host part, edges and λ."""
+
+    winner: dict
+
+
+def _formula(n: int, spec: FanSpec) -> tuple[int | None, bool | None]:
+    """A report's `formula_value` and `applicable`: the closed form's, or
+    None below clique order 3."""
     if spec.r < 3:
-        return None
-    return fan_extremal_number(n, spec)
+        return None, None
+    formula = fan_extremal_number(n, spec)
+    return formula.value, formula.applicable
 
 
 # --- exhaustive extremal search ---------------------------------------------
@@ -501,24 +515,25 @@ def brute_force_extremal(
             _write_json_atomic(checkpoint_path, state)
 
     witnesses = tuple(sorted(s for s, _ in _graph6_of(cands)))
-    formula = _formula_or_none(n, spec)
+    formula, applicable = _formula(n, spec)
     matches: bool | None = None
     if formula is not None:
         if mode == "edges":
-            matches = best == formula.value
+            matches = best == formula
         else:
-            edge_best = {from_graph6(s).edge_count for s in witnesses}
-            matches = edge_best == {formula.value}
+            matches = {from_graph6(s).edge_count for s in witnesses} == {formula}
     return ExtremalReport(
         n=n,
-        spec=spec,
+        k=spec.k,
+        r=spec.r,
         mode=mode,
         best_value=best,
+        formula_value=formula,
+        applicable=applicable,
+        matches_formula=matches,
         witnesses=witnesses,
         graphs_examined=examined,
         free_count=free,
-        formula_value=formula,
-        matches_formula=matches,
         wall_seconds=time.monotonic() - t0,
     )
 
@@ -549,16 +564,6 @@ class BoundedEdgeReport(_Report):
     value: int
     graphs_examined: int
     wall_seconds: float | None = None
-
-    def to_json_dict(self, timing: bool = True) -> dict:
-        return {
-            "beta": self.beta,
-            "delta": self.delta,
-            "n_max": self.n_max,
-            "value": self.value,
-            "graphs_examined": self.graphs_examined,
-            "wall_seconds": self.wall_seconds if timing else None,
-        }
 
 
 def brute_force_f_report(
@@ -634,45 +639,58 @@ def g0_candidates(k: int, cap: int = DEFAULT_ENUM_CAP) -> list[G0Candidate]:
 
 
 def _part_size_vectors(n: int, parts: int, max_imbalance: int) -> list[tuple[int, ...]]:
-    """Descending part-size tuples of n into `parts` parts with the largest
-    and smallest differing by at most max_imbalance."""
-    out: list[tuple[int, ...]] = []
-    lo_first = -(-n // parts)  # the largest part is at least ceil(n/parts)
-
-    def rec(prefix: list[int], remaining: int, left: int) -> None:
-        if left == 0:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        hi = min(prefix[-1], remaining - (left - 1) * max(1, prefix[0] - max_imbalance))
-        lo = max(1, prefix[0] - max_imbalance, -(-remaining // left))
-        for s in range(hi, lo - 1, -1):
-            rec(prefix + [s], remaining - s, left - 1)
-
-    for first in range(lo_first, lo_first + max_imbalance + 1):
-        if first > n - (parts - 1):
-            break
-        rec([first], n - first, parts - 1)
-    return sorted(set(out), reverse=True)
+    """Descending part-size tuples of n into `parts` positive parts with the
+    largest and smallest differing by at most max_imbalance.  Every part
+    then lies between ceil(n/parts) − max_imbalance and floor(n/parts) +
+    max_imbalance; combinations of a descending range come out descending."""
+    lo = max(1, -(-n // parts) - max_imbalance)
+    sizes = range(n // parts + max_imbalance, lo - 1, -1)
+    return [
+        v
+        for v in combinations_with_replacement(sizes, parts)
+        if sum(v) == n and v[0] - v[-1] <= max_imbalance
+    ]
 
 
-def _scan_family_member(
-    member: tuple[tuple[int, ...], str, int], spec: FanSpec, tol: float
-) -> dict:
-    """Worker: the record of one family member (sizes, g0 graph6, host)."""
-    sizes, g0_g6, host = member
-    g = embed_in_part(sizes, host, from_graph6(g0_g6).edges())
-    witness = contains_fan(g, spec)
-    rec = {
-        "sizes": sizes,
-        "g0": g0_g6,
-        "host": host,
-        "free": witness is None,
-        "edges": g.edge_count() if isinstance(g, StructuredGraph) else g.edge_count,
-    }
-    if witness is None:
-        rec["lam"] = spectral_radius(g, tol=tol).lam
-    return rec
+# one family member: part sizes, g0 as graph6 and as edges, host part
+Member = tuple[tuple[int, ...], str, tuple[tuple[int, int], ...], int]
+
+
+def _family_members(n: int, spec: FanSpec, max_imbalance: int, cap: int) -> list[Member]:
+    """Every near-balanced part-size vector x every g0 candidate x every
+    host part that can hold it."""
+    vectors = _part_size_vectors(n, spec.r - 1, max_imbalance)
+    if not vectors:
+        raise ValueError(
+            f"no part sizes for n={n} in {spec.r - 1} parts with imbalance "
+            f"at most {max_imbalance}"
+        )
+    candidates = [
+        (to_graph6(cand.graph), tuple(cand.graph.edges()), cand.graph.n)
+        for cand in g0_candidates(spec.k, cap=cap)
+    ]
+    return [
+        (sizes, g0_g6, g0_edges, host)
+        for sizes in vectors
+        for g0_g6, g0_edges, order in candidates
+        for host in range(len(sizes))
+        if sizes[host] >= order
+    ]
+
+
+def _member_edges(member: Member) -> int:
+    """A member's edge count: the cross pairs of its parts plus g0's edges."""
+    sizes, _, g0_edges, _ = member
+    return (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2 + len(g0_edges)
+
+
+def _member_lambda(member: Member, spec: FanSpec, tol: float) -> float | None:
+    """Worker: λ of one family member, or None when it contains the fan."""
+    sizes, _, g0_edges, host = member
+    g = embed_in_part(sizes, host, g0_edges)
+    if contains_fan(g, spec) is not None:
+        return None
+    return spectral_radius(g, tol=tol).lam
 
 
 def family_search(
@@ -683,7 +701,7 @@ def family_search(
     tol: float = DEFAULT_TOL,
     jobs: int = 1,
     cap: int = DEFAULT_ENUM_CAP,
-) -> ExtremalReport:
+) -> FamilyReport:
     """Maximize the spectral radius over the structured family: every
     near-balanced part-size vector x every embeddable bounded graph x every
     host part, keeping only members the detector certifies fan-free.
@@ -695,61 +713,50 @@ def family_search(
         raise ValueError("family search requires clique order r >= 3")
     _check_tol(tol)
     t0 = time.monotonic()
-    vectors = _part_size_vectors(n, spec.r - 1, max_imbalance)
-    if not vectors:
-        raise ValueError(
-            f"no part sizes for n={n} in {spec.r - 1} parts with imbalance "
-            f"at most {max_imbalance}"
-        )
-    candidates = [(to_graph6(cand.graph), cand.graph.n) for cand in g0_candidates(spec.k, cap=cap)]
-    members = []
-    for sizes in vectors:
-        for g0_g6, order in candidates:
-            for host in range(len(sizes)):
-                if sizes[host] < order:
-                    continue
-                members.append((sizes, g0_g6, host))
+    members = _family_members(n, spec, max_imbalance, cap)
 
-    examined = 0
     free_count = 0
     best = best_key = None
-    for rec in _map(partial(_scan_family_member, spec=spec, tol=tol), members, jobs):
-        examined += 1
-        if not rec["free"]:
+    scan = partial(_member_lambda, spec=spec, tol=tol)
+    for member, lam in zip(members, _map(scan, members, jobs)):
+        if lam is None:
             continue
         free_count += 1
-        key = (rec["lam"], rec["edges"], rec["sizes"], rec["g0"], -rec["host"])
+        sizes, g0_g6, _, host = member
+        key = (lam, _member_edges(member), sizes, g0_g6, -host)
         if best is None or key > best_key:
-            best, best_key = rec, key
+            best, best_key = member, key
 
     if best is None:
         raise RuntimeError("no fan-free member in the family sweep")
-    formula = _formula_or_none(n, spec)
+    sizes, g0_g6, g0_edges, host = best
+    lam, edges = best_key[:2]
+    formula, applicable = _formula(n, spec)
     witnesses: tuple[str, ...] = ()
     if n <= DENSE_KERNEL_LIMIT:
         # construction labeling is already deterministic; canonicalizing a
         # near-multipartite host would fight its huge automorphism group
-        g = embed_in_part(best["sizes"], best["host"], from_graph6(best["g0"]).edges())
-        witnesses = (to_graph6(g),)
-    winner = {
-        "part_sizes": list(best["sizes"]),
-        "g0_graph6": best["g0"],
-        "host_part": best["host"],
-        "edges": best["edges"],
-        "lambda": _round12(best["lam"]),
-    }
-    return ExtremalReport(
+        witnesses = (to_graph6(embed_in_part(sizes, host, g0_edges)),)
+    return FamilyReport(
         n=n,
-        spec=spec,
+        k=spec.k,
+        r=spec.r,
         mode="lambda",
-        best_value=best["lam"],
-        witnesses=witnesses,
-        graphs_examined=examined,
-        free_count=free_count,
+        best_value=lam,
         formula_value=formula,
-        matches_formula=(formula is not None and best["edges"] == formula.value),
+        applicable=applicable,
+        matches_formula=edges == formula,
+        witnesses=witnesses,
+        graphs_examined=len(members),
+        free_count=free_count,
         wall_seconds=time.monotonic() - t0,
-        winner=winner,
+        winner={
+            "part_sizes": list(sizes),
+            "g0_graph6": g0_g6,
+            "host_part": host,
+            "edges": edges,
+            "lambda": lam,
+        },
     )
 
 
@@ -760,7 +767,8 @@ class MainTheoremReport(_Report):
     brute-force maximizer at tiny orders (reported, never asserted)."""
 
     n: int
-    spec: FanSpec
+    k: int
+    r: int
     family_winner_edges: int
     formula_edges: int
     agrees: bool
@@ -768,24 +776,6 @@ class MainTheoremReport(_Report):
     brute_best_lambda: float | None = None
     brute_best_edges: int | None = None
     wall_seconds: float | None = None
-
-    def to_json_dict(self, timing: bool = True) -> dict:
-        return {
-            "n": self.n,
-            "k": self.spec.k,
-            "r": self.spec.r,
-            "family_winner_edges": self.family_winner_edges,
-            "formula_edges": self.formula_edges,
-            "agrees": self.agrees,
-            "brute_force_agrees": self.brute_force_agrees,
-            "brute_best_lambda": (
-                _round12(self.brute_best_lambda)
-                if self.brute_best_lambda is not None
-                else None
-            ),
-            "brute_best_edges": self.brute_best_edges,
-            "wall_seconds": self.wall_seconds if timing else None,
-        }
 
 
 def verify_main_theorem(
@@ -804,8 +794,6 @@ def verify_main_theorem(
     spec = fanspec_of(spec)
     t0 = time.monotonic()
     fam = family_search(n, spec, max_imbalance, tol=tol, jobs=jobs, cap=cap)
-    assert fam.winner is not None and fam.formula_value is not None
-    agrees = fam.winner["edges"] == fam.formula_value.value
 
     brute_agrees = None
     brute_lam = None
@@ -819,10 +807,11 @@ def verify_main_theorem(
         brute_agrees = witness_edges == {brute_edges}
     return MainTheoremReport(
         n=n,
-        spec=spec,
+        k=spec.k,
+        r=spec.r,
         family_winner_edges=fam.winner["edges"],
-        formula_edges=fam.formula_value.value,
-        agrees=agrees,
+        formula_edges=fam.formula_value,
+        agrees=fam.matches_formula,
         brute_force_agrees=brute_agrees,
         brute_best_lambda=brute_lam,
         brute_best_edges=brute_edges,

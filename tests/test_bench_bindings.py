@@ -46,3 +46,5 @@ def test_traced_oracle_calls_keep_their_shape(monkeypatch):
     monkeypatch.setattr(oracle, "canonical_form", lambda g: merged.append(g) or real(g))
     rep = oracle.brute_force_extremal(5, (1, 3), "edges")
     assert len(merged) >= len(rep.witnesses) > 0
+    # and it counts the classes a brute run examined from this field
+    assert type(rep.graphs_examined) is int

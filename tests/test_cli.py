@@ -3,12 +3,25 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
-from fanspec import canonical_form, complete_graph, from_graph6, to_graph6, turan_graph
+from fanspec import (
+    ExtremalReport,
+    FamilyReport,
+    FanWitness,
+    FormulaResult,
+    MainTheoremReport,
+    canonical_form,
+    complete_graph,
+    from_graph6,
+    to_graph6,
+    turan_graph,
+)
 from fanspec import cli
 from fanspec.cli import build_parser, fmt12, main, parse_construct_spec
+from fanspec.oracle import BoundedEdgeReport
 
 
 def run_cli(args, stdin=None, timeout=None):
@@ -177,6 +190,17 @@ class TestLambda:
         assert len(lines) == 4
         assert lines[1].split(",")[0] == "50"
 
+    def test_sweep_writes_out_file(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        for cmd in ("lambda", "qlambda"):
+            argv = [cmd, "--construct", "turan:{n},2", "--sweep", "n=4:1:5", "--out", str(path)]
+            code, out, _ = run_cli(argv)
+            assert (code, out) == (0, "")
+            lines = path.read_text().splitlines()
+            assert lines[0] == "n,lambda,residual,iterations"
+            assert [ln.split(",")[0] for ln in lines[1:]] == ["4", "5"]
+            path.unlink()
+
     def test_sweep_negative_step_counts_down(self):
         code, out, _ = run_cli(["lambda", "--construct", "turan:{n},2", "--sweep", "n=5:-1:3"])
         assert code == 0
@@ -252,6 +276,54 @@ class TestReports:
             "matches_formula", "witnesses", "graphs_examined", "free_count",
             "wall_seconds",
         }
+
+    @pytest.mark.parametrize(
+        "argv, code, record, line",
+        [
+            (["brute", "--n", "5", "--k", "2", "--r", "3", "--no-timing"], 0, ExtremalReport,
+             '{"n": 5, "k": 2, "r": 3, "mode": "edges", "best_value": 7, "formula_value": 7, '
+             '"applicable": false, "matches_formula": true, "witnesses": ["DF{", "DJ{", "DNw"], '
+             '"graphs_examined": 34, "free_count": 28, "wall_seconds": null}'),
+            (["brute", "--n", "5", "--k", "2", "--r", "3", "--mode", "lambda", "--no-timing"], 0,
+             ExtremalReport,
+             '{"n": 5, "k": 2, "r": 3, "mode": "lambda", "best_value": 3.08613019765, '
+             '"formula_value": 7, "applicable": false, "matches_formula": true, '
+             '"witnesses": ["DJ{"], "graphs_examined": 34, "free_count": 28, '
+             '"wall_seconds": null}'),
+            (["brute", "--n", "5", "--k", "1", "--r", "2", "--no-timing"], 0, ExtremalReport,
+             '{"n": 5, "k": 1, "r": 2, "mode": "edges", "best_value": 0, "formula_value": null, '
+             '"applicable": null, "matches_formula": null, "witnesses": ["D??"], '
+             '"graphs_examined": 34, "free_count": 1, "wall_seconds": null}'),
+            (["brutef", "--beta", "2", "--delta", "2", "--nmax", "6", "--no-timing"], 0,
+             BoundedEdgeReport,
+             '{"beta": 2, "delta": 2, "n_max": 6, "value": 6, "graphs_examined": 40, '
+             '"wall_seconds": null}'),
+            (["family", "--n", "30", "--k", "2", "--r", "3", "--no-timing"], 0, FamilyReport,
+             '{"n": 30, "k": 2, "r": 3, "mode": "lambda", "best_value": 15.0709010885, '
+             '"formula_value": 226, "applicable": false, "matches_formula": true, '
+             '"witnesses": ["]_????????????????F~~~~z~~f~~F~~B~~_~~wF~~?^~{?~~w?~~w?^~{?F~~??~~w'
+             '?B~~_??"], "graphs_examined": 8, "free_count": 8, "wall_seconds": null, '
+             '"winner": {"part_sizes": [15, 15], "g0_graph6": "A_", "host_part": 0, '
+             '"edges": 226, "lambda": 15.0709010885}}'),
+            (["verify", "--n", "6", "--k", "2", "--r", "3", "--no-timing"], 0, MainTheoremReport,
+             '{"n": 6, "k": 2, "r": 3, "family_winner_edges": 10, "formula_edges": 10, '
+             '"agrees": true, "brute_force_agrees": true, "brute_best_lambda": 3.39234434563, '
+             '"brute_best_edges": 10, "wall_seconds": null}'),
+            (["turannum", "--n", "200", "--k", "2", "--r", "3"], 0, FormulaResult,
+             '{"value": 10001, "applicable": true, "threshold": 200}'),
+            (["check", "--k", "2", "--r", "3", "--witness", "--g6", "D~{"], 1, FanWitness,
+             '{"contains": true, "witness": {"center": 0, "cliques": [[1, 2], [3, 4]]}}'),
+        ],
+        ids=["brute-edges", "brute-lambda", "brute-r2", "brutef", "family", "verify",
+             "turannum", "check-witness"],
+    )
+    def test_report_bytes_are_pinned(self, capsys, argv, code, record, line):
+        # each line is a record's fields, in order, byte for byte; `check`
+        # writes its witness record under "witness"
+        assert main(argv) == code
+        assert capsys.readouterr().out == line + "\n"
+        d = json.loads(line)
+        assert list(d.get("witness", d)) == [f.name for f in fields(record)]
 
     def test_brute_timing_present_by_default(self):
         code, out, _ = run_cli(["brute", "--n", "4", "--k", "1", "--r", "3"])
@@ -367,6 +439,14 @@ class TestHelpAndErrors:
             ["lambda", "--construct", "turan:{n},2", "--sweep", "n=1:1"],
             ["lambda", "--construct", "turan:{n},2", "--sweep", "n=a:1:3"],
             ["lambda", "--construct", "turan:{n},2", "--sweep", "n=1:1:3:4"],
+            # an empty constructor item is bad input, not dropped
+            ["lambda", "--construct", "turan:5,,2"],
+            ["lambda", "--construct", "turan:,5,2"],
+            ["lambda", "--construct", "extremal:20,2,3,"],
+            ["construct", "multipartite", "--sizes", "3,,4"],
+            # a sweep takes its graphs from --construct alone
+            ["lambda", "--g6", "A_", "--construct", "turan:{n},2", "--sweep", "n=4:1:5"],
+            ["qlambda", "--file", "graphs.g6", "--construct", "turan:{n},2", "--sweep", "n=4:1:5"],
         ],
         ids=lambda argv: " ".join(map(str, argv[:1] + argv[-2:])),
     )
@@ -383,6 +463,10 @@ class TestHelpAndErrors:
         assert out == ""
         if argv[-1] in ("n=1:1", "n=a:1:3", "n=1:1:3:4"):
             assert "--sweep takes n=START:STEP:STOP" in err
+        if ",," in argv[-1] or ":," in argv[-1] or argv[-1].endswith(","):
+            assert "bad constructor arguments" in err
+        if argv[-1] == "n=4:1:5":
+            assert "give exactly one graph source" in err
 
     def test_checkpoint_in_missing_directory_is_exit_2(self, tmp_path):
         ckpt = tmp_path / "missing" / "state.json"

@@ -276,6 +276,21 @@ class TestGraph6:
         assert len(text) == 4 + (3000 * 2999 // 2 + 5) // 6
         assert peak < 3 * len(text)
 
+    def test_decoding_peak_memory(self):
+        # decoded column by column: a '0'/'1' string of the whole payload
+        # would alone be six times the text
+        rng = random.Random(37)
+        g = Graph(3000, {(rng.randrange(v), v) for v in range(1, 3000) for _ in range(5)})
+        text = to_graph6(g)
+        tracemalloc.start()
+        try:
+            decoded = from_graph6(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert decoded == g
+        assert peak < 3 * len(text)
+
     def test_path_and_cycle_sanity(self):
         assert path_graph(4).edge_count == 3
         assert cycle_graph(4).edge_count == 4

@@ -31,11 +31,14 @@ import fanspec.oracle as oracle
 from fanspec.canon import canonical_info, orbits_from_perms, permuted_rows
 from fanspec.families import embed_in_part
 from fanspec.oracle import (
+    DEFAULT_ENUM_CAP,
     _bounded_pred,
     _children_of_parent_aug,
+    _family_members,
     _lambda_floor_sq,
     _levels,
     _mask_orbit_reps,
+    _member_edges,
     _part_size_vectors,
     _walk_bound,
 )
@@ -572,8 +575,38 @@ class TestPartSizeVectors:
         for v in vecs:
             assert sum(v) == 10 and v[0] - v[-1] <= 2
 
+    def test_matches_every_partition(self):
+        def partitions(n, parts, top):
+            """Descending tuples of `parts` positive integers at most top
+            with sum n, largest first."""
+            if parts == 0:
+                return [()] if n == 0 else []
+            return [
+                (s, *rest)
+                for s in range(min(n, top), 0, -1)
+                for rest in partitions(n - s, parts - 1, s)
+            ]
+
+        for n in range(80):
+            for parts in range(2, 6):
+                every = partitions(n, parts, n)
+                for imbalance in range(-1, 5):
+                    want = [v for v in every if v[0] - v[-1] <= imbalance]
+                    assert _part_size_vectors(n, parts, imbalance) == want, (n, parts, imbalance)
+
 
 class TestFamilySearch:
+    def test_member_edges_closed_form(self):
+        # the cross pairs of the parts plus g0's edges, against the member built
+        for n in (20, 63, 64, 90):
+            for spec in ((2, 3), (3, 3), (2, 4)):
+                members = _family_members(n, FanSpec(*spec), 2, DEFAULT_ENUM_CAP)
+                assert members
+                for member in members:
+                    sizes, _, g0_edges, host = member
+                    g = embed_in_part(sizes, host, g0_edges)
+                    assert _member_edges(member) == sum(g.degrees()) // 2, (n, spec, member)
+
     def test_balanced_bipartite_wins_triangle_free(self):
         rep = family_search(60, (1, 3), 2)
         assert rep.best_value == pytest.approx(30.0, abs=1e-9)

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-
-import numpy as np
 
 from .families import (
     chvatal_hanson_extremal,
@@ -55,6 +54,8 @@ from .spectral import (
 
 def fmt12(x: float) -> str:
     """12 significant digits, positional (trailing zeros kept)."""
+    import numpy as np
+
     return np.format_float_positional(
         float(x), precision=12, unique=False, fractional=False, trim="k"
     )
@@ -168,7 +169,7 @@ def _run_spectrum(g: AnyGraph, args):
 def _cmd_charpoly(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
     xf = float(args.x)
-    if not np.isfinite(xf):
+    if not math.isfinite(xf):
         raise ValueError(f"--x must be finite, not {args.x}")
     x: float | int = int(xf) if xf.is_integer() else xf
     value = multipartite_charpoly_eval(sizes, x)

@@ -39,26 +39,39 @@ member.  The invariant filter runs before the predicate, so the predicate
 sees fewer children.  That restriction is what makes the
 bounded-degree/bounded-matching edge maximum searchable at nine vertices.
 
-`brute` in lambda mode solves only the fan-free children that can reach
-the best value.  T(n, r−1) is K_r-free, so F_{k,r}-free, and its λ_T
-(`multipartite_spectral_radius` on the balanced part sizes) is a floor
-under the best λ.  A child's walk bound W = max_v Σ_{u∼v} d_u is the
-largest row sum of A², so λ² = λ(A²) ≤ W, and a computed λ̂, a weighted
-Rayleigh quotient, is at most √W too.  The worker skips the solve when
-W < floor², with floor = λ_T − LAMBDA_WITNESS_WINDOW − 2·tol −
-LAMBDA_FLOOR_SLACK (r ≥ 3 and floor > 0; otherwise nothing is skipped),
-and still counts the child as fan-free.  No skipped child can be the
-best or fall in the witness window: the Turán class is scanned and never
-skipped (W_T ≥ λ_T² > floor²), and by Collatz–Wielandt its computed λ̂_T
-is at least λ_T − 2·tol, since its Perron entries, proportional to
-1/(λ + n_i), are within a factor 2 of each other and the solve stops at
-residual tol.  So the best value is at least λ_T − 2·tol, the window
-starts at or above floor + LAMBDA_FLOOR_SLACK, and every skipped λ̂ is
-below floor.  Examined and fan-free counts, best value, witnesses and
-checkpoints are those of solving every child; the one difference is that
-a skipped child whose solve would have raised `ConvergenceError` no
-longer raises.  At n = 7 the (2,3) scan solves 77 of its 400 fan-free
-classes, and at n = 8 it solves 108 of 2,290.
+`brute` in lambda mode scores only the fan-free children that can reach
+the best value, each by its exact λ.  T(n, r−1) is K_r-free, so
+F_{k,r}-free, and its λ_T (`multipartite_spectral_radius` on the balanced
+part sizes) is a floor under the best λ.  A child's walk bound
+W = max_v Σ_{u∼v} d_u is the largest row sum of A², so λ² = λ(A²) ≤ W.
+The worker counts every fan-free child, and takes those with W ≥ floor²,
+floor = λ_T − LAMBDA_WITNESS_WINDOW − 2·tol − LAMBDA_FLOOR_SLACK (r ≥ 3
+and floor > 0; otherwise floor is 0), in descending W, so the likely
+winners come first.  `exact_spectral_radius` brackets each λ in Python
+ints on the twin quotient: the Collatz–Wielandt max ratio above, the
+Rayleigh quotient below.  The routine drops the child, unscored, once the
+upper bound is below max(floor, the parent's best score so far −
+LAMBDA_WITNESS_WINDOW − LAMBDA_FLOOR_SLACK), and otherwise returns λ
+correctly rounded to a float.  No dropped child can be the best or fall
+in the witness window.  The Turán class is scanned and never dropped
+below the floor (W_T ≥ λ_T² > floor², and its upper bound is at least
+λ_T), so the best score is at least λ_T less the error of
+`multipartite_spectral_radius`, far below LAMBDA_FLOOR_SLACK; the window
+starts above the floor, and a child below a parent's best less the window
+is below the run's best less the window.  The 2·tol term only widens the
+margin: the scores do not depend on tol, which is validated and stays in
+the checkpoint key.  The report is that of solving every child: the
+examined and fan-free counts, the witnesses, and the best value to its 12
+digits (an exact score and a float solve can differ in the last ulp, where
+the float solve is not correctly rounded).  The state in a mid-run
+checkpoint is not: until the best passes the floor, the full-solve merge
+also holds in `best` and `cands` sub-floor classes this worker never scores.
+What holds is that a resume from any checkpoint ends in the same report,
+since every class the worker skips is below the final best less the
+window.  `brute` makes no float solve, so `ConvergenceError` comes only
+from a bracket still open after DEFAULT_MAX_ITERS steps.  At n = 7 the
+(2,3) scan brackets 77 of its 400 fan-free classes and scores 8 of them;
+at n = 8 it brackets 108 of 2,290 and scores 8.
 
 Everything is deterministic: reports are identical regardless of worker
 count (partials merge by order-free reductions and witness lists sort by
@@ -70,13 +83,12 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import multiprocessing
 import os
-import tempfile
 import time
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import combinations_with_replacement
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .canon import CanonicalInfo, canonical_form, canonical_info, permuted_rows
@@ -92,7 +104,13 @@ from .graphs import (
     to_graph6,
 )
 from .patterns import clique_packing_number, contains_fan, matching_number
-from .spectral import DEFAULT_TOL, _check_tol, multipartite_spectral_radius, spectral_radius
+from .spectral import (
+    DEFAULT_TOL,
+    _check_tol,
+    exact_spectral_radius,
+    multipartite_spectral_radius,
+    spectral_radius,
+)
 
 DEFAULT_ENUM_CAP = 10
 LAMBDA_WITNESS_WINDOW = 1e-8
@@ -334,29 +352,39 @@ def _lambda_floor_sq(n: int, spec: FanSpec, tol: float) -> float:
 
 
 def _scan_extremal_parent(
-    parent: ClassRep, spec: FanSpec, mode: str, tol: float, floor_sq: float
+    parent: ClassRep, spec: FanSpec, mode: str, floor_sq: float
 ) -> tuple[int, int, list[tuple[float | int, Rows]]]:
     """Worker: the number of final-level children of one parent, the number
     of them that are fan-free, and (value, rows) for each fan-free child it
     scores, its rows as built: fan-freeness, edges and λ do not depend on
-    the labeling.  It scores every one in edges mode; in lambda mode a child
-    whose walk bound is below floor_sq is counted but not solved.
+    the labeling.  It scores every one in edges mode.  In lambda mode it
+    scores, in descending walk bound, the children whose walk bound is at
+    least floor_sq, each by its exact λ, and drops a child once λ is shown
+    below √floor_sq and below this parent's best λ so far less the witness
+    window and LAMBDA_FLOOR_SLACK.
 
     The augmentation acceptance test is exactly-once per isomorphism class
     across all parents, so the parents partition the class space."""
     children = _children_of_parent_aug(parent, None)
-    free = 0
+    free = [
+        crows
+        for crows, _ in children
+        if contains_fan(Graph._from_rows_unchecked(crows), spec) is None
+    ]
+    if mode == "edges":
+        return len(children), len(free), [(_edge_count(crows), crows) for crows in free]
+    floor = math.sqrt(floor_sq)
+    bounded = [(w, crows) for crows in free if (w := _walk_bound(crows)) >= floor_sq]
+    bounded.sort(key=itemgetter(0), reverse=True)
     scored = []
-    for crows, _ in children:
-        g = Graph._from_rows_unchecked(crows)
-        if contains_fan(g, spec) is not None:
-            continue
-        free += 1
-        if mode == "edges":
-            scored.append((g.edge_count, crows))
-        elif _walk_bound(crows) >= floor_sq:
-            scored.append((spectral_radius(g, tol=tol).lam, crows))
-    return len(children), free, scored
+    best = -math.inf
+    for _, crows in bounded:
+        cutoff = max(floor, best - LAMBDA_WITNESS_WINDOW - LAMBDA_FLOOR_SLACK)
+        lam = exact_spectral_radius(Graph._from_rows_unchecked(crows), cutoff)
+        if lam is not None:
+            scored.append((lam, crows))
+            best = max(best, lam)
+    return len(children), len(free), scored
 
 
 def _map(fn, tasks: Sequence, jobs: int, chunksize: int | None = None) -> Iterator:
@@ -367,6 +395,8 @@ def _map(fn, tasks: Sequence, jobs: int, chunksize: int | None = None) -> Iterat
     if jobs <= 1 or len(tasks) <= 1:
         yield from map(fn, tasks)
         return
+    import multiprocessing
+
     with multiprocessing.Pool(processes=jobs) as pool:
         yield from pool.imap(fn, tasks, chunksize or -(-len(tasks) // (4 * jobs)))
 
@@ -387,6 +417,8 @@ def _graph6_of(cands: list[tuple[Rows, float | int]]) -> list[tuple[str, float |
 def _write_json_atomic(path: str, obj) -> None:
     """Replace `path` with `obj` as JSON; a crash mid-write leaves the old
     file in place (the new one is written beside it, then renamed over)."""
+    import tempfile
+
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -496,7 +528,7 @@ def brute_force_extremal(
     window = 0 if mode == "edges" else LAMBDA_WITNESS_WINDOW
     since_ckpt = 0
     floor_sq = _lambda_floor_sq(n, spec, tol)
-    scan = partial(_scan_extremal_parent, spec=spec, mode=mode, tol=tol, floor_sq=floor_sq)
+    scan = partial(_scan_extremal_parent, spec=spec, mode=mode, floor_sq=floor_sq)
     results = _map(scan, parents[start:], jobs, 1 if checkpoint_path else None)
     for cursor, (count, count_free, scored) in enumerate(results, start + 1):
         examined += count

@@ -66,18 +66,27 @@ steps where it used to cost hundreds (split graphs, where lambda ~
 sqrt(3n) is far below maxdeg ~ n), and it still guards the hard solves
 that keep polishing.  D + A is positive semidefinite and iterates
 unshifted.
+
+The exact path: ``exact_spectral_radius`` scores the small graphs of
+``brute`` in Python ints on the same quotient, with no numpy and no tol,
+by Collatz–Wielandt and Rayleigh brackets that stop when both round to one
+float, or as soon as the upper one is below a cutoff.  numpy is imported
+inside the functions that touch arrays, so it loads at the first float
+solve, and commands that make none never load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple
-
-import numpy as np
+from operator import add, mul, truediv
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .families import FanSpec, PartitionSizes, fanspec_of, partition_sizes_of
 from .graphs import AnyGraph, Graph, _mask_bits
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 10**6
@@ -115,6 +124,8 @@ class ConvergenceError(RuntimeError):
 
 def _dense_adjacency(rows: tuple[int, ...]) -> np.ndarray:
     """The boolean adjacency matrix of the bitmask rows."""
+    import numpy as np
+
     n = len(rows)
     width = (n + 7) // 8
     raw = b"".join(row.to_bytes(width, "little") for row in rows)
@@ -141,6 +152,8 @@ def _quotient(adjacency: np.ndarray, sizes: np.ndarray) -> Callable[[np.ndarray]
     over the non-neighbours, the cell itself included: O(#cells +
     min(#edges, #non-edges)) per call, in the dtype of x.  numpy has no BLAS
     kernel for ``longdouble``, and this needs none."""
+    import numpy as np
+
     sparse = 2 * np.count_nonzero(adjacency) <= adjacency.size
     rows, cols = np.nonzero(adjacency if sparse else ~adjacency)
     # a cell of a piece has a neighbour and is its own non-neighbour, so no
@@ -156,6 +169,8 @@ def _pieces(g: AnyGraph) -> Iterator[_Piece]:
     cell graph with two cells or more.  An iterate constant on every cell
     stays so, so the iteration on cell values with cell-size weights is the
     vertex iteration, step for step; only ``expand`` costs O(n)."""
+    import numpy as np
+
     cells = g.twin_cells()
     cell_graph = Graph._from_rows_unchecked(cells.rows)
     adjacency = _dense_adjacency(cells.rows)
@@ -202,12 +217,12 @@ def _power(
     positive diagonal on a component with an edge.
     """
     lam = 0.0
-    resid = np.inf
+    resid = math.inf
     for it in range(1, max_iters + 1):
         y = matvec(x)
         wx = weights * x
         lam = (wx @ y) / (wx @ x)
-        resid = float(np.max(np.abs(y - lam * x)))
+        resid = float(abs(y - lam * x).max())
         if resid <= tol:
             return float(lam), x.astype(float), resid, it
         x = y + shift * x
@@ -233,6 +248,8 @@ def _seed(piece: _Piece, diagonal: np.ndarray | None) -> np.ndarray:
     closed neighbourhood in the cell graph are true twins only when both
     are singletons.
     """
+    import numpy as np
+
     if len(piece.sizes) > SEED_MAX_CELLS:
         return np.ones(len(piece.sizes), dtype=np.longdouble)
     root = np.sqrt(piece.sizes)
@@ -256,6 +273,8 @@ def _spectrum(g: AnyGraph, tol: float, max_iters: int, signless: bool) -> Spectr
     """Largest eigenvalue of A (or of D + A when `signless`), per connected
     component; the vector is supported on the achieving component (first
     component wins ties), zeros elsewhere."""
+    import numpy as np
+
     _check_tol(tol)
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
@@ -300,12 +319,53 @@ def signless_laplacian_spectrum(
     return _spectrum(g, tol, max_iters, signless=True)
 
 
+def exact_spectral_radius(g: AnyGraph, cutoff: float = -math.inf) -> float | None:
+    """Largest adjacency eigenvalue correctly rounded to a float, or None
+    once it is shown to be below `cutoff`; for a graph on at least one
+    vertex.  No numpy: Python ints on the twin quotient B = A_cell * sizes.
+
+    From all-ones, x <- (B + I)x stays a positive integer vector, and it
+    brackets lambda exactly.  Above: max_i (Bx)_i / x_i, since that is the
+    largest row sum of diag(x)^-1 B diag(x), a matrix similar to B
+    (Collatz 1942; Wielandt 1950).  Below: the size-weighted Rayleigh
+    quotient sum_i s_i x_i (Bx)_i / sum_i s_i x_i^2, that of the expanded
+    vector.  Each bound is an int/int true division, so correctly rounded,
+    and rounding is monotone: the largest rounded ratio is the rounded
+    largest ratio, an upper bound rounded below `cutoff` is below it
+    exactly, and when the two bounds round to one float, lambda rounds to
+    it too.  The shift by I makes B + I primitive on each component, so on
+    bipartite graphs too both bounds converge to lambda; an isolated cell
+    keeps x_i = 1 and ratio 0.  Raises ``ConvergenceError``, with the
+    bracket as lam and residual and the unnormalized cell iterate as vector,
+    when the bounds still round apart after DEFAULT_MAX_ITERS steps."""
+    cells = g.twin_cells()
+    sizes = cells.sizes
+    nbrs = [list(_mask_bits(row)) for row in cells.rows]
+    x = [1] * len(sizes)
+    for _ in range(DEFAULT_MAX_ITERS):
+        sx = list(map(mul, sizes, x))
+        y = [sum([sx[j] for j in nb]) for nb in nbrs]
+        upper = max(map(truediv, y, x))
+        if upper < cutoff:
+            return None
+        lower = sum(map(mul, sx, y)) / sum(map(mul, sx, x))
+        if lower == upper:
+            return upper
+        x = list(map(add, x, y))
+    raise ConvergenceError(
+        f"lambda in [{lower!r}, {upper!r}] after {DEFAULT_MAX_ITERS} iterations",
+        SpectrumResult(lam=lower, vector=x, residual=upper - lower, iterations=DEFAULT_MAX_ITERS),
+    )
+
+
 def rayleigh_quotient(g: AnyGraph, x) -> float:
     """(2 sum_{uv in E} x_u x_v) / (sum_v x_v^2); at most the spectral radius.
 
     The numerator is S^T A_cell S on the sums S of x over the twin cells:
     cells are independent sets, and two cells are joined completely or not
     at all."""
+    import numpy as np
+
     vec = np.asarray(x, dtype=float)
     if vec.shape != (g.n,):
         raise ValueError(f"vector must have length {g.n}")
@@ -389,14 +449,18 @@ class PerronBoundReport:
 def perron_entry_bound_check(
     g: AnyGraph,
     spec: FanSpec | tuple[int, int],
-    tol: float = DEFAULT_TOL if np.finfo(np.longdouble).eps < np.finfo(float).eps else 1e-8,
+    tol: float | None = None,
 ) -> PerronBoundReport:
     """Smallest Perron entry (max-1 normalization) against 1 - 20k^2r^2/n.
 
-    The default tol is DEFAULT_TOL where ``long double`` is wider than
-    float64, and 1e-8 where it is float64: there the loop polishes in
-    float64, and at n ~ 10^6 the default tol of 1e-10 is 1-2 ulps of lambda,
-    below what the loop can reach.  Requires a connected graph."""
+    tol None means DEFAULT_TOL where ``long double`` is wider than float64,
+    and 1e-8 where it is float64: there the loop polishes in float64, and at
+    n ~ 10^6 the default tol of 1e-10 is 1-2 ulps of lambda, below what the
+    loop can reach.  Requires a connected graph."""
+    import numpy as np
+
+    if tol is None:
+        tol = DEFAULT_TOL if np.finfo(np.longdouble).eps < np.finfo(float).eps else 1e-8
     spec = fanspec_of(spec)
     if not g.is_connected():
         raise ValueError("graph must be connected")

@@ -534,3 +534,46 @@ class TestHelpAndErrors:
     def test_main_inprocess(self, capsys):
         assert main(["turannum", "--n", "6", "--k", "1", "--r", "3", "--raw"]) == 0
         assert capsys.readouterr().out.strip() == "9"
+
+
+# Runs `cli.main` on each argv in a fresh interpreter, output discarded, and
+# prints whether numpy was loaded after the import and after each command.
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+from fanspec import cli
+seen = ["numpy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 1), (argv, code)
+    seen.append("numpy" in sys.modules)
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize(
+    "argvs, loaded",
+    [
+        (
+            [
+                ["brute", "--n", "6", "--k", "2", "--r", "3", "--mode", "lambda", "--jobs", "2"],
+                ["brute", "--n", "6", "--k", "2", "--r", "3", "--mode", "edges"],
+                ["brutef", "--beta", "1", "--delta", "2", "--nmax", "5"],
+                ["check", "--construct", "fan:2,3", "--k", "2", "--r", "3"],
+                ["turannum", "--n", "20", "--k", "2", "--r", "3"],
+            ],
+            [False] * 6,
+        ),
+        ([["lambda", "--construct", "turan:6,2"]], [False, True]),
+    ],
+    ids=["integer-commands", "float-solve"],
+)
+def test_numpy_loads_at_the_first_float_solve(argvs, loaded):
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == loaded

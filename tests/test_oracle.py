@@ -405,7 +405,7 @@ class TestBruteForceExtremal:
             brute_force_extremal(6, (1, 3), "edges", checkpoint_path=str(ckpt), resume=True)
 
 
-def scan_solving_every_child(parent, spec, mode, tol, floor_sq):
+def scan_solving_every_child(parent, spec, mode, floor_sq):
     """The brute worker without the walk bound: every fan-free child is
     scored, as before the bound, whatever floor_sq says."""
     children = _children_of_parent_aug(parent, None)
@@ -413,23 +413,16 @@ def scan_solving_every_child(parent, spec, mode, tol, floor_sq):
     for crows, _ in children:
         g = Graph._from_rows_unchecked(crows)
         if contains_fan(g, spec) is None:
-            value = g.edge_count if mode == "edges" else spectral_radius(g, tol=tol).lam
+            value = g.edge_count if mode == "edges" else spectral_radius(g).lam
             scored.append((value, crows))
     return len(children), len(scored), scored
 
 
-def interrupt_after(monkeypatch, worker, parents):
-    """Run `worker` as the brute worker for `parents` parents, then raise
-    KeyboardInterrupt, as a kill mid-run would."""
-    calls = [0]
-
-    def scan(*args, **kwargs):
-        if calls[0] >= parents:
-            raise KeyboardInterrupt
-        calls[0] += 1
-        return worker(*args, **kwargs)
-
-    monkeypatch.setattr(oracle, "_scan_extremal_parent", scan)
+def scan_with_float_solves(parent, spec, mode, floor_sq):
+    """The brute worker before exact scores: a float solve of each fan-free
+    child whose walk bound is at least floor_sq."""
+    count, free, scored = scan_solving_every_child(parent, spec, mode, floor_sq)
+    return count, free, [(v, c) for v, c in scored if _walk_bound(c) >= floor_sq]
 
 
 class TestWalkBound:
@@ -483,37 +476,51 @@ class TestWalkBound:
         # a count, not a timing: 77 of the 400 fan-free classes on 7
         # vertices have a walk bound at or above λ(T(7, 2))²
         calls = [0]
-        real = oracle.spectral_radius
+        real = oracle.exact_spectral_radius
 
         def counting(*args, **kwargs):
             calls[0] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(oracle, "spectral_radius", counting)
+        monkeypatch.setattr(oracle, "exact_spectral_radius", counting)
         rep = brute_force_extremal(7, (2, 3), "lambda", jobs=1)
         assert (rep.free_count, calls[0]) == (400, 77)
 
-    def test_full_solve_checkpoint_resumes_under_the_bound(self, tmp_path, monkeypatch):
-        pruned_worker = oracle._scan_extremal_parent
-        clean = brute_force_extremal(7, (2, 3), "lambda").to_json(timing=False)
-        states = []
-        for worker in (scan_solving_every_child, pruned_worker):
-            ckpt = str(tmp_path / f"{len(states)}.json")
-            interrupt_after(monkeypatch, worker, 60)
-            with pytest.raises(KeyboardInterrupt):
-                brute_force_extremal(
-                    7, (2, 3), "lambda", checkpoint_path=ckpt, checkpoint_every=1
-                )
-            with open(ckpt) as fh:
-                states.append(fh.read())
-        # both workers write the same checkpoint, byte for byte
-        assert states[0] == states[1]
-        assert json.loads(states[0])["parent_cursor"] == 60
-        monkeypatch.setattr(oracle, "_scan_extremal_parent", pruned_worker)
-        resumed = brute_force_extremal(
-            7, (2, 3), "lambda", checkpoint_path=str(tmp_path / "0.json"), resume=True
+    @pytest.mark.parametrize("spec", [(2, 3), (1, 4)])
+    def test_resume_from_any_checkpoint_gives_the_clean_report(self, spec, tmp_path, monkeypatch):
+        # The merged state at a cursor depends on the worker: below the
+        # Turán floor the full-solve oracle keeps classes in `best` and
+        # `cands` that the bounded workers never score.  Whichever worker
+        # wrote it, a resume from the state after any parent ends in the
+        # clean report.  The levels and the per-parent scans are computed
+        # once, so each resume costs its merge alone.
+        exact_worker = oracle._scan_extremal_parent
+        clean = brute_force_extremal(7, spec, "lambda").to_json(timing=False)
+        real_write = oracle._write_json_atomic
+        states = {}
+        monkeypatch.setattr(
+            oracle, "_write_json_atomic", lambda path, obj: states.setdefault(json.dumps(obj), obj)
         )
-        assert resumed.to_json(timing=False) == clean
+        ckpt = tmp_path / "ckpt.json"
+        for worker in (scan_solving_every_child, scan_with_float_solves, exact_worker):
+            monkeypatch.setattr(oracle, "_scan_extremal_parent", worker)
+            brute_force_extremal(7, spec, "lambda", checkpoint_path=str(ckpt), checkpoint_every=1)
+        monkeypatch.setattr(oracle, "_write_json_atomic", real_write)
+        levels = list(_levels(6))
+        assert {s["parent_cursor"] for s in states.values()} == set(range(1, len(levels[6][1]) + 1))
+        monkeypatch.setattr(oracle, "_levels", lambda n_max, pred=None: iter(levels[: n_max + 1]))
+        scans = {}
+
+        def scan_once(parent, **kwargs):
+            if parent not in scans:
+                scans[parent] = exact_worker(parent, **kwargs)
+            return scans[parent]
+
+        monkeypatch.setattr(oracle, "_scan_extremal_parent", scan_once)
+        for text in states:
+            ckpt.write_text(text)
+            resumed = brute_force_extremal(7, spec, "lambda", checkpoint_path=str(ckpt), resume=True)
+            assert resumed.to_json(timing=False) == clean, text
 
 
 class TestBruteForceF:

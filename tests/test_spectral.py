@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -31,7 +32,8 @@ from fanspec import (
     turan_graph,
 )
 from fanspec.families import embed_in_part
-from fanspec.spectral import SEED_MAX_CELLS, _pieces, _power
+from fanspec import spectral
+from fanspec.spectral import SEED_MAX_CELLS, _pieces, _power, exact_spectral_radius
 
 
 def random_graph(n, p, rng):
@@ -464,6 +466,65 @@ class TestRayleigh:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             rayleigh_quotient(cycle_graph(3), [0, 0, 0])
+
+
+def mp_radius(g):
+    """The largest adjacency eigenvalue to 40 digits (mpmath)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        m = mpmath.matrix([[int(g.has_edge(u, v)) for v in range(g.n)] for u in range(g.n)])
+        return max(mpmath.eigsy(m, eigvals_only=True))
+
+
+class TestExactRadius:
+    """The integer brackets give float(λ) exactly, and None only below the
+    cutoff."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            empty_graph(5),
+            Graph(5, [(0, 1), (1, 2), (2, 3)]),  # a path and an isolated vertex
+            cycle_graph(6),
+            complete_multipartite([3, 4])[0],
+            complete_graph(7),
+            Graph(10, [(i + a, i + b) for i in (0, 5) for a, b in combinations(range(5), 2) if b - a in (1, 4)]),
+            Graph(8, [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6), (4, 6), (2, 3)]),
+        ],
+        ids=["edgeless", "isolated-vertex", "c6", "k3,4", "k7", "two-c5", "unequal-components"],
+    )
+    def test_named_graphs(self, g):
+        assert exact_spectral_radius(g) == float(mp_radius(g))
+
+    def test_correctly_rounded_and_cut(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(data=st.data())
+        def exact(data):
+            n = data.draw(st.integers(1, 10))
+            pairs = list(combinations(range(n), 2))
+            bits = data.draw(st.integers(0, (1 << len(pairs)) - 1))
+            g = Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+            lam = mp_radius(g)
+            assert exact_spectral_radius(g) == float(lam)
+            cutoff = float(lam) + data.draw(st.floats(-1, 1))
+            got = exact_spectral_radius(g, cutoff)
+            if got is None:
+                assert lam < cutoff
+            else:
+                assert got == float(lam)
+
+        exact()
+
+    def test_bracket_still_open_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "DEFAULT_MAX_ITERS", 1)
+        with pytest.raises(ConvergenceError) as info:
+            exact_spectral_radius(path_graph(4))
+        res = info.value.result
+        assert res.iterations == 1
+        assert res.lam <= (1 + 5**0.5) / 2 <= res.lam + res.residual
 
 
 class TestMultipartiteRadius:

@@ -217,7 +217,6 @@ def _cmd_brute(args) -> int:
         args.n,
         (args.k, args.r),
         args.mode,
-        tol=args.tol,
         jobs=args.jobs,
         cap=_enum_cap(),
         checkpoint_path=args.checkpoint,
@@ -353,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = _add_search(sub, "brute", "exhaustive extremal search", _cmd_brute, "n", "k", "r")
     pb.add_argument("--mode", choices=["edges", "lambda"], default="edges")
-    pb.add_argument("--tol", type=float, default=DEFAULT_TOL)
     pb.add_argument("--checkpoint", help="sidecar JSON for checkpoint/resume")
     pb.add_argument("--resume", action="store_true", help="resume from checkpoint")
     pb.add_argument(

@@ -29,8 +29,8 @@ so the orbits, and the minimum representatives taken from them, are the
 ones a fresh labeling of the parent gives.  The last level is only
 scanned, not stored: fan-freeness, edge count and λ do not depend on the
 labeling, so its children stay as built.  `brute` labels only the graphs
-it writes out as canonical graph6: the witnesses, and the witness window
-at each checkpoint.
+it writes out as canonical graph6: the witnesses, in the report and at
+each checkpoint.
 
 Enumeration accepts an optional hereditary predicate (closed under vertex
 deletion, e.g. bounded degree + bounded matching); restricted to such a
@@ -40,38 +40,36 @@ sees fewer children.  That restriction is what makes the
 bounded-degree/bounded-matching edge maximum searchable at nine vertices.
 
 `brute` in lambda mode scores only the fan-free children that can reach
-the best value, each by its exact λ.  T(n, r−1) is K_r-free, so
-F_{k,r}-free, and its λ_T (`multipartite_spectral_radius` on the balanced
-part sizes) is a floor under the best λ.  A child's walk bound
-W = max_v Σ_{u∼v} d_u is the largest row sum of A², so λ² = λ(A²) ≤ W.
-The worker counts every fan-free child, and takes those with W ≥ floor²,
-floor = λ_T − LAMBDA_WITNESS_WINDOW − 2·tol − LAMBDA_FLOOR_SLACK (r ≥ 3
-and floor > 0; otherwise floor is 0), in descending W, so the likely
-winners come first.  `exact_spectral_radius` brackets each λ in Python
-ints on the twin quotient: the Collatz–Wielandt max ratio above, the
-Rayleigh quotient below.  The routine drops the child, unscored, once the
-upper bound is below max(floor, the parent's best score so far −
-LAMBDA_WITNESS_WINDOW − LAMBDA_FLOOR_SLACK), and otherwise returns λ
-correctly rounded to a float.  No dropped child can be the best or fall
-in the witness window.  The Turán class is scanned and never dropped
-below the floor (W_T ≥ λ_T² > floor², and its upper bound is at least
-λ_T), so the best score is at least λ_T less the error of
-`multipartite_spectral_radius`, far below LAMBDA_FLOOR_SLACK; the window
-starts above the floor, and a child below a parent's best less the window
-is below the run's best less the window.  The 2·tol term only widens the
-margin: the scores do not depend on tol, which is validated and stays in
-the checkpoint key.  The report is that of solving every child: the
-examined and fan-free counts, the witnesses, and the best value to its 12
-digits (an exact score and a float solve can differ in the last ulp, where
-the float solve is not correctly rounded).  The state in a mid-run
-checkpoint is not: until the best passes the floor, the full-solve merge
-also holds in `best` and `cands` sub-floor classes this worker never scores.
-What holds is that a resume from any checkpoint ends in the same report,
-since every class the worker skips is below the final best less the
-window.  `brute` makes no float solve, so `ConvergenceError` comes only
-from a bracket still open after DEFAULT_MAX_ITERS steps.  At n = 7 the
-(2,3) scan brackets 77 of its 400 fan-free classes and scores 8 of them;
-at n = 8 it brackets 108 of 2,290 and scores 8.
+the best value, each by its exact λ, and its witnesses are the classes
+whose score equals the best exactly, as in edges mode.  A score is λ
+correctly rounded to a float: `exact_spectral_radius` brackets λ in Python
+ints on the twin quotient (the Collatz–Wielandt max ratio above, the
+Rayleigh quotient below) and returns the float both bounds round to.
+Rounding is monotone, so λ ≤ μ gives score(λ) ≤ score(μ).  T(n, r−1) is
+K_r-free, so F_{k,r}-free, and the floor is its score, computed once
+before the scan.  A child's walk bound W = max_v Σ_{u∼v} d_u is the
+largest row sum of A², so λ² = λ(A²) ≤ W, and its score is at most
+`math.sqrt(W)`, the rounded √W.  The worker counts every fan-free child,
+and takes those with `math.sqrt(W)` ≥ floor, in descending W, so the
+likely winners come first.  It drops a child, unscored, once the rounded
+upper bracket is below max(floor, the parent's best score so far).  The
+Turán class is never skipped (λ_T ≤ √W_T, so its score, the floor, is at
+most `math.sqrt(W_T)`) and never dropped at the floor (its upper bracket
+is at least λ_T); it is dropped only below a better score of its own
+parent.  Either way the best score is at least the floor.  A skipped child
+scores at most `math.sqrt(W)`, below the floor, and a dropped one at most
+its rounded upper bracket, below the floor or a score of the run.  So no
+class the worker skips or drops scores the best, and the report is that of
+scoring every child: the examined and fan-free counts, the witnesses, and
+the best value to its 12 digits.  The state in a mid-run checkpoint is
+not: with a worker that scores every child, `best` and `cands` also hold
+classes below the floor, which this worker never scores.  What holds is
+that a resume from any checkpoint ends in the same report, since every
+class the worker skips is below the final best.  `brute` makes no float
+solve, so `ConvergenceError` comes only from a bracket still open after
+DEFAULT_MAX_ITERS steps.  At n = 7 the (2,3) scan brackets 77 of its 400
+fan-free classes and scores 8 of them, besides the floor's own bracket of
+T(7, 2); at n = 8 it brackets 108 of 2,290 and scores 8.
 
 Everything is deterministic: reports are identical regardless of worker
 count (partials merge by order-free reductions and witness lists sort by
@@ -92,7 +90,7 @@ from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .canon import CanonicalInfo, canonical_form, canonical_info, permuted_rows
-from .families import FanSpec, balanced_sizes, embed_in_part, fanspec_of
+from .families import FanSpec, embed_in_part, fanspec_of, turan_graph
 from .formulas import fan_extremal_number
 from .graphs import (
     DENSE_KERNEL_LIMIT,
@@ -104,18 +102,9 @@ from .graphs import (
     to_graph6,
 )
 from .patterns import clique_packing_number, contains_fan, matching_number
-from .spectral import (
-    DEFAULT_TOL,
-    _check_tol,
-    exact_spectral_radius,
-    multipartite_spectral_radius,
-    spectral_radius,
-)
+from .spectral import DEFAULT_TOL, _check_tol, exact_spectral_radius, spectral_radius
 
 DEFAULT_ENUM_CAP = 10
-LAMBDA_WITNESS_WINDOW = 1e-8
-# rounding slack of the Turán floor under brute's λ solves (module docstring)
-LAMBDA_FLOOR_SLACK = 1e-9
 
 
 class EnumerationCapError(ValueError):
@@ -339,29 +328,16 @@ def _walk_bound(rows: Rows) -> int:
     return max(sum(deg[u] for u in _mask_bits(row)) for row in rows)
 
 
-def _lambda_floor_sq(n: int, spec: FanSpec, tol: float) -> float:
-    """The square of the floor below which no λ solve of `brute` can reach
-    the best value or its witness window: λ(T(n, r−1)) less the window, the
-    solve's 2·tol and LAMBDA_FLOOR_SLACK.  0 (skip nothing) when r < 3 or
-    the floor is not positive; edges mode never reads it."""
-    if spec.r < 3:
-        return 0.0
-    turan = multipartite_spectral_radius(balanced_sizes(n, spec.r - 1))
-    floor = turan - LAMBDA_WITNESS_WINDOW - 2 * tol - LAMBDA_FLOOR_SLACK
-    return floor * floor if floor > 0 else 0.0
-
-
 def _scan_extremal_parent(
-    parent: ClassRep, spec: FanSpec, mode: str, floor_sq: float
+    parent: ClassRep, spec: FanSpec, mode: str, floor: float
 ) -> tuple[int, int, list[tuple[float | int, Rows]]]:
     """Worker: the number of final-level children of one parent, the number
     of them that are fan-free, and (value, rows) for each fan-free child it
     scores, its rows as built: fan-freeness, edges and λ do not depend on
     the labeling.  It scores every one in edges mode.  In lambda mode it
-    scores, in descending walk bound, the children whose walk bound is at
-    least floor_sq, each by its exact λ, and drops a child once λ is shown
-    below √floor_sq and below this parent's best λ so far less the witness
-    window and LAMBDA_FLOOR_SLACK.
+    scores, in descending walk bound W, the children with √W at least
+    floor, each by its exact λ, and drops a child once its score is shown
+    below floor and below this parent's best score so far.
 
     The augmentation acceptance test is exactly-once per isomorphism class
     across all parents, so the parents partition the class space."""
@@ -373,14 +349,12 @@ def _scan_extremal_parent(
     ]
     if mode == "edges":
         return len(children), len(free), [(_edge_count(crows), crows) for crows in free]
-    floor = math.sqrt(floor_sq)
-    bounded = [(w, crows) for crows in free if (w := _walk_bound(crows)) >= floor_sq]
+    bounded = [(w, crows) for crows in free if math.sqrt(w := _walk_bound(crows)) >= floor]
     bounded.sort(key=itemgetter(0), reverse=True)
     scored = []
     best = -math.inf
     for _, crows in bounded:
-        cutoff = max(floor, best - LAMBDA_WITNESS_WINDOW - LAMBDA_FLOOR_SLACK)
-        lam = exact_spectral_radius(Graph._from_rows_unchecked(crows), cutoff)
+        lam = exact_spectral_radius(Graph._from_rows_unchecked(crows), max(floor, best))
         if lam is not None:
             scored.append((lam, crows))
             best = max(best, lam)
@@ -409,9 +383,9 @@ def _is_number(x) -> bool:
     return (_is_int(x) or isinstance(x, float)) and math.isfinite(x)
 
 
-def _graph6_of(cands: list[tuple[Rows, float | int]]) -> list[tuple[str, float | int]]:
-    """Each (rows, value) as (canonical graph6, value)."""
-    return [(to_graph6(canonical_form(Graph._from_rows_unchecked(c))), v) for c, v in cands]
+def _graph6_of(cands: list[Rows]) -> list[str]:
+    """Each class's rows as canonical graph6."""
+    return [to_graph6(canonical_form(Graph._from_rows_unchecked(c))) for c in cands]
 
 
 def _write_json_atomic(path: str, obj) -> None:
@@ -437,7 +411,6 @@ def brute_force_extremal(
     spec: FanSpec | tuple[int, int],
     mode: str = "edges",
     *,
-    tol: float = DEFAULT_TOL,
     jobs: int = 1,
     cap: int = DEFAULT_ENUM_CAP,
     checkpoint_path: str | None = None,
@@ -454,7 +427,6 @@ def brute_force_extremal(
     spec = fanspec_of(spec)
     if mode not in ("edges", "lambda"):
         raise ValueError("mode must be 'edges' or 'lambda'")
-    _check_tol(tol)
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > cap:
@@ -478,9 +450,9 @@ def brute_force_extremal(
     examined = 0
     free = 0
     best: float | int | None = None
-    # the fan-free classes inside the witness window, as built: only a
-    # checkpoint and the report label them, for canonical graph6
-    cands: list[tuple[Rows, float | int]] = []
+    # the fan-free classes that score `best`, as built: only a checkpoint
+    # and the report label them, for canonical graph6
+    cands: list[Rows] = []
 
     ckpt_key = {
         "kind": "brute",
@@ -488,7 +460,6 @@ def brute_force_extremal(
         "k": spec.k,
         "r": spec.r,
         "mode": mode,
-        "tol": tol if mode == "lambda" else None,
         # the acceptance rule decides which parent emits each class, so a
         # parent cursor means nothing under another rule
         "deletion_vertex": "max-invariant",
@@ -513,32 +484,26 @@ def brute_force_extremal(
             and 0 <= free <= examined
             and (best is None or _is_number(best))
             and isinstance(cands, list)
-            and all(
-                isinstance(c, list)
-                and len(c) == 2
-                and isinstance(c[0], str)
-                and _is_number(c[1])
-                and from_graph6(c[0]).n == n
-                for c in cands
-            )
+            and (best is None) == (not cands)
+            and all(isinstance(s, str) and from_graph6(s).n == n for s in cands)
         ):
             raise ValueError("checkpoint progress is malformed")
-        cands = [(from_graph6(s).rows, v) for s, v in cands]
+        cands = [from_graph6(s).rows for s in cands]
 
-    window = 0 if mode == "edges" else LAMBDA_WITNESS_WINDOW
     since_ckpt = 0
-    floor_sq = _lambda_floor_sq(n, spec, tol)
-    scan = partial(_scan_extremal_parent, spec=spec, mode=mode, floor_sq=floor_sq)
+    # T(n, r−1) is K_r-free, so fan-free, and its score is a floor under the
+    # best (module docstring); edges mode never reads it
+    floor = exact_spectral_radius(turan_graph(n, spec.r - 1)) if mode == "lambda" else 0.0
+    scan = partial(_scan_extremal_parent, spec=spec, mode=mode, floor=floor)
     results = _map(scan, parents[start:], jobs, 1 if checkpoint_path else None)
     for cursor, (count, count_free, scored) in enumerate(results, start + 1):
         examined += count
         free += count_free
         for value, crows in scored:
             if best is None or value > best:
-                best = value
-                cands = [(c, v) for c, v in cands if v >= best - window]
-            if value >= best - window:
-                cands.append((crows, value))
+                best, cands = value, []
+            if value == best:
+                cands.append(crows)
         since_ckpt += count
         if checkpoint_path and since_ckpt >= checkpoint_every:
             since_ckpt = 0
@@ -546,7 +511,7 @@ def brute_force_extremal(
             state.update(zip(progress, (cursor, examined, free, best, _graph6_of(cands))))
             _write_json_atomic(checkpoint_path, state)
 
-    witnesses = tuple(sorted(s for s, _ in _graph6_of(cands)))
+    witnesses = tuple(sorted(_graph6_of(cands)))
     formula, applicable = _formula(n, spec)
     matches: bool | None = None
     if formula is not None:
@@ -831,7 +796,7 @@ def verify_main_theorem(
     brute_lam = None
     brute_edges = None
     if n <= cap:
-        lam_rep = brute_force_extremal(n, spec, "lambda", tol=tol, jobs=jobs, cap=cap)
+        lam_rep = brute_force_extremal(n, spec, "lambda", jobs=jobs, cap=cap)
         edge_rep = brute_force_extremal(n, spec, "edges", jobs=jobs, cap=cap)
         brute_lam = float(lam_rep.best_value)
         brute_edges = int(edge_rep.best_value)

@@ -37,7 +37,7 @@ def run_cli(args, stdin=None, timeout=None):
 
 # a checkpoint of `brute --n 5 --k 1 --r 3` before its first parent
 BRUTE5_CHECKPOINT = {
-    "kind": "brute", "n": 5, "k": 1, "r": 3, "mode": "edges", "tol": None,
+    "kind": "brute", "n": 5, "k": 1, "r": 3, "mode": "edges",
     "deletion_vertex": "max-invariant",
     "parent_cursor": 0, "examined": 0, "free": 0, "best": None, "cands": [],
 }
@@ -364,7 +364,7 @@ class TestHelpAndErrors:
             "check": ["--k", "--r", "--witness", "--g6", "--file"],
             "turannum": ["--n", "--k", "--r", "--raw"],
             "charpoly": ["--sizes", "--x", "--raw"],
-            "brute": ["--n", "--k", "--r", "--mode", "--tol", "--resume", "--checkpoint",
+            "brute": ["--n", "--k", "--r", "--mode", "--resume", "--checkpoint",
                       "--checkpoint-every"],
             "brutef": ["--beta", "--delta", "--nmax"],
             "family": ["--n", "--k", "--r", "--imbalance", "--tol"],
@@ -380,6 +380,8 @@ class TestHelpAndErrors:
             text = sub_actions.choices[cmd].format_help()
             for flag in flags:
                 assert flag in text, (cmd, flag)
+        # brute scores exactly and has no tolerance to take
+        assert "--tol" not in sub_actions.choices["brute"].format_help()
 
     def test_missing_required_is_exit_2(self):
         code, _, _ = run_cli(["turannum", "--n", "5"])
@@ -399,6 +401,7 @@ class TestHelpAndErrors:
             ["lambda", "--construct", "turan:5,2", "--max-iters", "0"],
             ["qlambda", "--construct", "extremal:100,2,3", "--max-iters", "0"],
             ["lambda", "--construct", "turan:5,2", "--tol", "nan"],
+            # brute scores exactly and takes no --tol, whatever its value
             ["brute", "--n", "4", "--k", "1", "--r", "3", "--mode", "lambda", "--tol", "nan"],
             ["lambda", "--construct", "ch:4", "--tol", "inf"],
             ["brute", "--n", "4", "--k", "1", "--r", "3", "--mode", "lambda", "--tol", "inf"],
@@ -425,11 +428,13 @@ class TestHelpAndErrors:
             resume_brute5(examined=2.0),
             resume_brute5(best="7"),
             resume_brute5(best=float("nan")),
-            resume_brute5(cands={"DF{": 7}),
-            resume_brute5(cands=[["DF{"]]),
-            resume_brute5(cands=[["DF{", "7"]]),
-            resume_brute5(cands=[[7, 7]]),
-            resume_brute5(cands=[["A_", 1]]),  # a witness on 2 vertices
+            resume_brute5(cands={"DF{": 7}, best=7),
+            resume_brute5(cands=[["DF{"]], best=7),
+            resume_brute5(cands=[["DF{", 7]], best=7),  # the older (graph6, value) pair
+            resume_brute5(cands=[7], best=7),
+            resume_brute5(cands=["A_"], best=7),  # a witness on 2 vertices
+            resume_brute5(cands=["DF{"]),  # a witness with no best
+            resume_brute5(best=7),  # a best with no witness
             # an empty source is bad input, not "read stdin"
             ["lambda", "--g6", ""],
             ["lambda", "--construct", ""],
@@ -458,7 +463,10 @@ class TestHelpAndErrors:
         # a graph in stdin: a command that fell back to reading it would exit 0
         code, out, err = run_cli(argv, stdin="B?\n")
         assert code == 2
-        assert err.startswith("error:")
+        if argv[0] == "brute" and "--tol" in argv:
+            assert "unrecognized arguments: --tol" in err
+        else:
+            assert err.startswith("error:")
         assert "Traceback" not in err
         assert out == ""
         if argv[-1] in ("n=1:1", "n=a:1:3", "n=1:1:3:4"):
@@ -508,10 +516,10 @@ class TestHelpAndErrors:
         ckpt.write_text(
             json.dumps(
                 {
-                    "kind": "brute", "n": 6, "k": 1, "r": 3, "mode": "edges", "tol": None,
+                    "kind": "brute", "n": 6, "k": 1, "r": 3, "mode": "edges",
                     "batch_parents": 32, "deletion_vertex": "max-invariant",
                     "batch_cursor": 1, "examined": 154, "free": 38, "best": 9,
-                    "cands": [["EFz_", 9]],
+                    "cands": ["EFz_"],
                 }
             )
         )

@@ -10,6 +10,7 @@ from fanspec import (
     EnumerationCapError,
     FanSpec,
     Graph,
+    balanced_sizes,
     brute_force_extremal,
     brute_force_f_report,
     canonical_form,
@@ -20,6 +21,7 @@ from fanspec import (
     from_graph6,
     g0_candidates,
     matching_number,
+    multipartite_spectral_radius,
     spectral_radius,
     to_graph6,
     turan_graph,
@@ -30,12 +32,12 @@ import fanspec.canon as canon
 import fanspec.oracle as oracle
 from fanspec.canon import canonical_info, orbits_from_perms, permuted_rows
 from fanspec.families import embed_in_part
+from fanspec.spectral import exact_spectral_radius
 from fanspec.oracle import (
     DEFAULT_ENUM_CAP,
     _bounded_pred,
     _children_of_parent_aug,
     _family_members,
-    _lambda_floor_sq,
     _levels,
     _mask_orbit_reps,
     _member_edges,
@@ -213,11 +215,31 @@ class TestBruteForceExtremal:
             assert contains_fan(g, (2, 3)) is None
             assert g.edge_count == rep.best_value
 
-    def test_lambda_witnesses_within_window(self):
-        rep = brute_force_extremal(5, (2, 3), "lambda")
-        for w in rep.witnesses:
-            lam = spectral_radius(from_graph6(w)).lam
-            assert lam >= rep.best_value - 1e-8
+    def test_lambda_witnesses_score_the_best_exactly(self):
+        for spec in ((2, 3), (3, 3), (2, 4)):
+            rep = brute_force_extremal(7, spec, "lambda")
+            assert rep.witnesses, spec
+            for w in rep.witnesses:
+                assert exact_spectral_radius(from_graph6(w)) == rep.best_value, (spec, w)
+
+    def test_a_near_tie_is_no_witness(self, monkeypatch):
+        # a class one ulp below the best is not a witness, in either order
+        top, below = turan_graph(5, 2), from_graph6("DF{")
+        best = exact_spectral_radius(top)
+        near = math.nextafter(best, 0)
+        for planted in ([(best, top.rows), (near, below.rows)],
+                        [(near, below.rows), (best, top.rows)]):
+            calls = []
+
+            def stub(parent, **kwargs):
+                scored = [] if calls else planted
+                calls.append(parent)
+                return 1, len(scored), scored
+
+            monkeypatch.setattr(oracle, "_scan_extremal_parent", stub)
+            rep = brute_force_extremal(5, (1, 3), "lambda")
+            assert rep.best_value == best
+            assert rep.witnesses == (to_graph6(canonical_form(top)),)
 
     def test_jobs_do_not_change_report(self):
         a = brute_force_extremal(6, (1, 3), "edges", jobs=1).to_json(timing=False)
@@ -318,17 +340,21 @@ class TestBruteForceExtremal:
         ).to_json(timing=False)
         assert resumed == clean
 
-    def test_checkpoint_rejects_other_tol(self, tmp_path):
-        ckpt = str(tmp_path / "state.json")
+    def test_checkpoint_in_the_tol_format_rejected(self, tmp_path):
+        # the format before exact ties: `tol` in the key, and the witness
+        # window as (graph6, value) pairs
+        ckpt = tmp_path / "state.json"
         first = brute_force_extremal(
-            6, (1, 3), "lambda", tol=1e-10, checkpoint_path=ckpt, checkpoint_every=1
+            6, (1, 3), "lambda", checkpoint_path=str(ckpt), checkpoint_every=1
         ).to_json(timing=False)
-        with pytest.raises(ValueError):
-            brute_force_extremal(
-                6, (1, 3), "lambda", tol=1e-9, checkpoint_path=ckpt, resume=True
-            )
+        state = json.loads(ckpt.read_text())
+        pairs = [[s, state["best"]] for s in state["cands"]]
+        ckpt.write_text(json.dumps({**state, "tol": 1e-10, "cands": pairs}))
+        with pytest.raises(ValueError, match="does not match"):
+            brute_force_extremal(6, (1, 3), "lambda", checkpoint_path=str(ckpt), resume=True)
+        ckpt.write_text(json.dumps(state))
         again = brute_force_extremal(
-            6, (1, 3), "lambda", tol=1e-10, checkpoint_path=ckpt, resume=True
+            6, (1, 3), "lambda", checkpoint_path=str(ckpt), resume=True
         ).to_json(timing=False)
         assert again == first
 
@@ -363,8 +389,6 @@ class TestBruteForceExtremal:
         monkeypatch.setattr(oracle, "_levels", enumerate_nothing)
         monkeypatch.setattr(oracle, "g0_candidates", enumerate_nothing)
         for tol in (-1.0, 0.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                brute_force_extremal(8, (2, 3), "lambda", tol=tol)
             with pytest.raises(ValueError):
                 family_search(450, (3, 3), tol=tol)
             with pytest.raises(ValueError):
@@ -405,9 +429,9 @@ class TestBruteForceExtremal:
             brute_force_extremal(6, (1, 3), "edges", checkpoint_path=str(ckpt), resume=True)
 
 
-def scan_solving_every_child(parent, spec, mode, floor_sq):
+def scan_solving_every_child(parent, spec, mode, floor):
     """The brute worker without the walk bound: every fan-free child is
-    scored, as before the bound, whatever floor_sq says."""
+    scored, as before the bound, whatever floor says."""
     children = _children_of_parent_aug(parent, None)
     scored = []
     for crows, _ in children:
@@ -418,11 +442,11 @@ def scan_solving_every_child(parent, spec, mode, floor_sq):
     return len(children), len(scored), scored
 
 
-def scan_with_float_solves(parent, spec, mode, floor_sq):
+def scan_with_float_solves(parent, spec, mode, floor):
     """The brute worker before exact scores: a float solve of each fan-free
-    child whose walk bound is at least floor_sq."""
-    count, free, scored = scan_solving_every_child(parent, spec, mode, floor_sq)
-    return count, free, [(v, c) for v, c in scored if _walk_bound(c) >= floor_sq]
+    child whose walk bound W has √W at least floor."""
+    count, free, scored = scan_solving_every_child(parent, spec, mode, floor)
+    return count, free, [(v, c) for v, c in scored if math.sqrt(_walk_bound(c)) >= floor]
 
 
 class TestWalkBound:
@@ -447,16 +471,29 @@ class TestWalkBound:
 
         bounded()
 
-    def test_turan_class_is_never_skipped(self):
+    def test_turan_class_is_never_skipped(self, monkeypatch):
+        # the floor `brute` hands its workers, read off the scan's partial;
+        # the levels are stubbed empty, so nothing is enumerated
+        floors = []
+
+        def record_floor(fn, tasks, jobs, chunksize=None):
+            floors.append(fn.keywords["floor"])
+            return iter(())
+
+        monkeypatch.setattr(oracle, "_levels", lambda n_max, pred=None: iter([(n_max, [])]))
+        monkeypatch.setattr(oracle, "_map", record_floor)
         for r in range(2, 6):
             for n in range(1, 11):
-                rows = turan_graph(n, r - 1).rows
-                for tol in (1e-10, 1e-6):
-                    floor_sq = _lambda_floor_sq(n, FanSpec(1, r), tol)
-                    assert _walk_bound(rows) >= floor_sq, (n, r, tol)
-                    if r >= 3 and n >= r:
-                        lam = spectral_radius(turan_graph(n, r - 1)).lam
-                        assert 0 < floor_sq < lam * lam
+                brute_force_extremal(n, (1, r), "lambda")
+                floor = floors.pop()
+                turan = turan_graph(n, r - 1)
+                assert floor == exact_spectral_radius(turan), (n, r)
+                # it passes the prefilter, and the cutoff at the floor keeps it
+                assert math.sqrt(_walk_bound(turan.rows)) >= floor, (n, r)
+                assert exact_spectral_radius(turan, floor) == floor, (n, r)
+                if r >= 3:
+                    newton = multipartite_spectral_radius(balanced_sizes(n, r - 1), tol=1e-14)
+                    assert abs(floor - newton) <= 1e-12, (n, r)
 
     @pytest.mark.parametrize(
         "spec, n_max", [((1, 3), 7), ((2, 3), 8), ((3, 3), 7), ((2, 4), 7), ((1, 4), 7)]
@@ -474,17 +511,21 @@ class TestWalkBound:
 
     def test_solves_only_what_can_reach_the_floor(self, monkeypatch):
         # a count, not a timing: 77 of the 400 fan-free classes on 7
-        # vertices have a walk bound at or above λ(T(7, 2))²
-        calls = [0]
+        # vertices have a walk bound at or above λ(T(7, 2))².  The floor's
+        # own bracket goes through the same binding, first, before the
+        # scan; it is counted apart
+        graphs = []
         real = oracle.exact_spectral_radius
 
-        def counting(*args, **kwargs):
-            calls[0] += 1
-            return real(*args, **kwargs)
+        def counting(g, *args):
+            graphs.append(g)
+            return real(g, *args)
 
         monkeypatch.setattr(oracle, "exact_spectral_radius", counting)
         rep = brute_force_extremal(7, (2, 3), "lambda", jobs=1)
-        assert (rep.free_count, calls[0]) == (400, 77)
+        floor_bracket, *child_brackets = graphs
+        assert floor_bracket == turan_graph(7, 2)
+        assert (rep.free_count, len(child_brackets)) == (400, 77)
 
     @pytest.mark.parametrize("spec", [(2, 3), (1, 4)])
     def test_resume_from_any_checkpoint_gives_the_clean_report(self, spec, tmp_path, monkeypatch):

@@ -39,15 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, _mask_bits, _mask_image
-
-
-def permuted_rows(rows: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Adjacency rows after relabeling with perm[old] = new."""
-    new = [0] * len(rows)
-    for u, row in enumerate(rows):
-        new[perm[u]] = _mask_image(row, perm)
-    return tuple(new)
+from .graphs import Graph, _mask_bits, permuted_rows
 
 
 def _split(rows: tuple[int, ...], cell: int, masks: list[int]) -> list[int]:
@@ -214,8 +206,7 @@ def canonical_form(g: Graph) -> Graph:
     Isomorphic inputs map to identical outputs; the output is produced by
     relabeling g, so it is isomorphic to the input.
     """
-    info = canonical_info(g)
-    return Graph._from_rows_unchecked(permuted_rows(g.rows, info.perm))
+    return g.relabel(canonical_info(g).perm)
 
 
 def automorphism_orbits(g: Graph) -> tuple[int, ...]:

@@ -240,7 +240,6 @@ def _cmd_family(args) -> int:
         args.n,
         (args.k, args.r),
         args.imbalance,
-        tol=args.tol,
         jobs=args.jobs,
         cap=_enum_cap(),
     )
@@ -368,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         pm = _add_search(sub, name, what, _cmd_family, "n", "k", "r")
         pm.add_argument("--imbalance", type=int, default=2)
-        pm.add_argument("--tol", type=float, default=DEFAULT_TOL)
         pm.set_defaults(theorem=theorem)
 
     return top

@@ -58,6 +58,14 @@ def _mask_image(mask: int, perm: Sequence[int] | dict[int, int]) -> int:
     return out
 
 
+def permuted_rows(rows: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
+    """Adjacency rows after relabeling with perm[old] = new."""
+    new = [0] * len(rows)
+    for u, row in enumerate(rows):
+        new[perm[u]] = _mask_image(row, perm)
+    return tuple(new)
+
+
 def _edge_count(rows: Sequence[int]) -> int:
     """Edge count of a graph given by its adjacency bitmask rows."""
     return sum(row.bit_count() for row in rows) // 2
@@ -179,10 +187,7 @@ class Graph:
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Relabel with perm[old] = new."""
-        rows = [0] * self.n
-        for u, row in enumerate(self.rows):
-            rows[perm[u]] = _mask_image(row, perm)
-        return Graph._from_rows_unchecked(tuple(rows))
+        return Graph._from_rows_unchecked(permuted_rows(self.rows, perm))
 
     def twin_cells(self) -> StructuredGraph:
         """This graph as the blow-up of its classes of false twins (see
@@ -468,11 +473,10 @@ class StructuredGraph:
                 labels.append(v)
                 kept_cells.append(c)
         cell_rows = [0] * len(self.rows)
-        cell_degrees = [0] * len(self.rows)
         for c, row in enumerate(self.rows):
             for d in _mask_bits(row):
                 cell_rows[c] |= members[d]
-                cell_degrees[c] += self.sizes[d]
+        cell_degrees = self._cell_degrees()
         rows = tuple(cell_rows[c] for c in kept_cells)
         return Graph._from_rows_unchecked(rows), labels, [cell_degrees[c] for c in kept_cells]
 

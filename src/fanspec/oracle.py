@@ -89,7 +89,7 @@ from itertools import combinations_with_replacement
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
-from .canon import CanonicalInfo, canonical_form, canonical_info, permuted_rows
+from .canon import CanonicalInfo, canonical_form, canonical_info
 from .families import FanSpec, embed_in_part, fanspec_of, turan_graph
 from .formulas import fan_extremal_number
 from .graphs import (
@@ -99,10 +99,11 @@ from .graphs import (
     _mask_bits,
     _mask_image,
     from_graph6,
+    permuted_rows,
     to_graph6,
 )
 from .patterns import clique_packing_number, contains_fan, matching_number
-from .spectral import DEFAULT_TOL, _check_tol, exact_spectral_radius, spectral_radius
+from .spectral import exact_spectral_radius, spectral_radius
 
 DEFAULT_ENUM_CAP = 10
 
@@ -681,13 +682,13 @@ def _member_edges(member: Member) -> int:
     return (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2 + len(g0_edges)
 
 
-def _member_lambda(member: Member, spec: FanSpec, tol: float) -> float | None:
+def _member_lambda(member: Member, spec: FanSpec) -> float | None:
     """Worker: λ of one family member, or None when it contains the fan."""
     sizes, _, g0_edges, host = member
     g = embed_in_part(sizes, host, g0_edges)
     if contains_fan(g, spec) is not None:
         return None
-    return spectral_radius(g, tol=tol).lam
+    return spectral_radius(g).lam
 
 
 def family_search(
@@ -695,7 +696,6 @@ def family_search(
     spec: FanSpec | tuple[int, int],
     max_imbalance: int = 2,
     *,
-    tol: float = DEFAULT_TOL,
     jobs: int = 1,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> FamilyReport:
@@ -708,13 +708,12 @@ def family_search(
     spec = fanspec_of(spec)
     if spec.r < 3:
         raise ValueError("family search requires clique order r >= 3")
-    _check_tol(tol)
     t0 = time.monotonic()
     members = _family_members(n, spec, max_imbalance, cap)
 
     free_count = 0
     best = best_key = None
-    scan = partial(_member_lambda, spec=spec, tol=tol)
+    scan = partial(_member_lambda, spec=spec)
     for member, lam in zip(members, _map(scan, members, jobs)):
         if lam is None:
             continue
@@ -780,7 +779,6 @@ def verify_main_theorem(
     spec: FanSpec | tuple[int, int],
     max_imbalance: int = 2,
     *,
-    tol: float = DEFAULT_TOL,
     jobs: int = 1,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> MainTheoremReport:
@@ -790,7 +788,7 @@ def verify_main_theorem(
     the brute-force edge maximum."""
     spec = fanspec_of(spec)
     t0 = time.monotonic()
-    fam = family_search(n, spec, max_imbalance, tol=tol, jobs=jobs, cap=cap)
+    fam = family_search(n, spec, max_imbalance, jobs=jobs, cap=cap)
 
     brute_agrees = None
     brute_lam = None

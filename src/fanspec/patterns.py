@@ -1,14 +1,16 @@
 """Exact forbidden-pattern detection and partition checks.
 
-The workhorse is a branch-and-bound vertex-disjoint clique packing over
-bitmask residual sets: fan detection reduces to packing (r-1)-cliques inside
-a neighborhood, and maximum matching is the s=2 case of the same engine.
+The workhorse is one branch-and-bound vertex-disjoint clique packing over
+bitmask residual sets, for every clique size s >= 1: fan detection reduces
+to packing (r-1)-cliques inside a neighborhood (single vertices at r = 2),
+and maximum matching is the s = 2 case of the same engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
 from .families import FanSpec, fanspec_of
 from .formulas import chvatal_hanson_f
@@ -22,69 +24,60 @@ from .graphs import (
 )
 
 
-def _cliques_through(rows: tuple[int, ...], v: int, cand: int, s: int) -> list[int]:
-    """All s-clique masks containing v whose other members come from cand
-    (ascending), assuming cand holds only vertices above v."""
-    out: list[int] = []
-
-    def ext(cur: int, cand: int, need: int) -> None:
-        if need == 0:
-            out.append(cur)
+def _cliques_through(rows: tuple[int, ...], cur: int, cand: int, need: int) -> Iterator[int]:
+    """The masks cur | c for the need-cliques c inside cand, in
+    lexicographic order, assuming cand lies in the common neighborhood of
+    cur: with cur = {v} and cand the neighbors of v above it, the s-cliques
+    through v for need = s - 1."""
+    if need == 0:
+        yield cur
+        return
+    while cand:
+        if cand.bit_count() < need:
             return
-        while cand:
-            if cand.bit_count() < need:
-                return
-            low = cand & -cand
-            u = low.bit_length() - 1
-            cand ^= low
-            ext(cur | low, cand & rows[u], need - 1)
-
-    ext(1 << v, cand & rows[v], s - 1)
-    return out
-
-
-def _first_clique_through(rows: tuple[int, ...], v: int, cand: int, s: int) -> int:
-    """First s-clique mask containing v, or 0 if none exists."""
-
-    def ext(cur: int, cand: int, need: int) -> int:
-        if need == 0:
-            return cur
-        while cand:
-            if cand.bit_count() < need:
-                return 0
-            low = cand & -cand
-            u = low.bit_length() - 1
-            cand ^= low
-            got = ext(cur | low, cand & rows[u], need - 1)
-            if got:
-                return got
-        return 0
-
-    return ext(1 << v, cand & rows[v], s - 1)
+        low = cand & -cand
+        cand ^= low
+        if need == 1:
+            # the last member: yielding here saves a generator per clique
+            yield cur | low
+        else:
+            yield from _cliques_through(
+                rows, cur | low, cand & rows[low.bit_length() - 1], need - 1
+            )
 
 
-def _greedy_pack(rows: tuple[int, ...], avail: int, s: int) -> tuple[int, list[int]]:
-    """Greedy packing: repeatedly take the lexicographically first s-clique
-    through the lowest eligible vertex."""
-    count = 0
+def _branch_vertex(
+    rows: tuple[int, ...], avail: int, s: int
+) -> tuple[int, int, int, Iterator[int]] | None:
+    """Scan avail upward from its lowest vertex, dropping the vertices that
+    lie in no s-clique of avail, to the first vertex that lies in one.
+
+    Returns (avail less the dropped vertices, that vertex's bit, its first
+    clique, an iterator over its other cliques), or None if avail holds no
+    s-clique.  A dropped vertex lies in no clique of any subset of avail."""
+    rest = avail
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        cliques = _cliques_through(rows, low, rest & rows[low.bit_length() - 1], s - 1)
+        first = next(cliques, 0)
+        if first:
+            return rest | low, low, first, cliques
+    return None
+
+
+def _greedy_pack(rows: tuple[int, ...], avail: int, s: int, limit: int) -> list[int]:
+    """Greedy packing of at most limit cliques: repeatedly take the first
+    s-clique through the lowest vertex that lies in one."""
     cliques: list[int] = []
-    while True:
-        found = 0
-        a = avail
-        while a:
-            low = a & -a
-            v = low.bit_length() - 1
-            a ^= low
-            above = avail & ~((low << 1) - 1)
-            found = _first_clique_through(rows, v, above, s)
-            if found:
-                break
-            avail ^= low
-        if not found:
-            return count, cliques
-        avail &= ~found
-        cliques.append(found)
-        count += 1
+    while len(cliques) < limit:
+        found = _branch_vertex(rows, avail, s)
+        if found is None:
+            break
+        avail, _, first, _ = found
+        avail &= ~first
+        cliques.append(first)
+    return cliques
 
 
 def _color_capacity_bound(rows: tuple[int, ...], avail: int, s: int) -> int:
@@ -122,12 +115,14 @@ def _packing_search(
     """Exact max vertex-disjoint s-clique packing, early-exiting at limit.
 
     Returns (min(true max, limit), packing masks if the limit was reached).
-    Branches on the lowest-index vertex lying in any remaining s-clique:
-    either one of the cliques through it joins the packing, or the vertex is
-    excluded.  Pruned by floor(|avail|/s); where that fails, by the
-    component bound, the sum of floor(|C|/s) over the connected components
-    C of avail (a clique lies inside one component); by a greedy packing
-    lower bound; and by the independent-class capacity bound.  The floor
+    One engine for every s >= 1.  Branches on the lowest-index vertex lying
+    in any remaining s-clique: either one of the cliques through it joins
+    the packing, or the vertex is excluded.  The greedy lower bound takes
+    the first clique through that same vertex, found by the same scan,
+    ``_branch_vertex``.  Pruned by floor(|avail|/s); where that fails, by
+    the component bound, the sum of floor(|C|/s) over the connected
+    components C of avail (a clique lies inside one component); by the
+    independent-class capacity bound; and by the greedy packing.  The floor
     goes first because it is free and the component walk is not: on a
     dense graph where the floor prunes most nodes, walking every node's
     components made the search twenty times slower.
@@ -152,35 +147,23 @@ def _packing_search(
             return
         if count + _color_capacity_bound(rows, avail, s) <= best:
             return
-        g_count, g_cliques = _greedy_pack(rows, avail, s)
-        if count + g_count > best:
-            best = count + g_count
+        greedy = _greedy_pack(rows, avail, s, limit - count)
+        if count + len(greedy) > best:
+            best = count + len(greedy)
             if best >= limit:
-                best = limit
-                best_cliques = stack + g_cliques[: limit - count]
+                best_cliques = stack + greedy
                 return
-        branch_cliques = None
-        a = avail
-        while a:
-            low = a & -a
-            v = low.bit_length() - 1
-            a ^= low
-            above = avail & ~((low << 1) - 1)
-            cl = _cliques_through(rows, v, above, s)
-            if cl:
-                branch_bit = low
-                branch_cliques = cl
-                break
-            avail ^= low
-        if branch_cliques is None:
+        found = _branch_vertex(rows, avail, s)
+        if found is None:
             return
-        for cl in branch_cliques:
+        avail, bit, first, rest = found
+        for cl in chain((first,), rest):
             stack.append(cl)
             search(avail & ~cl, count + 1)
             stack.pop()
             if best >= limit:
                 return
-        search(avail & ~branch_bit, count)
+        search(avail & ~bit, count)
 
     search(avail, 0)
     return min(best, limit), best_cliques
@@ -193,8 +176,6 @@ def clique_packing_number(g: Graph, s: int, limit: int) -> int:
         raise ValueError("clique size must be at least 1")
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    if s == 1:
-        return min(g.n, limit)
     value, _ = _packing_search(g.rows, (1 << g.n) - 1, s, limit)
     return value
 
@@ -263,17 +244,14 @@ def _scan_centers(g: Graph, degs: Sequence[int], k: int, r: int) -> FanWitness |
     for v in sorted(range(g.n), key=lambda u: (-degs[u], u)):
         if degs[v] < need:
             break
-        if r == 2:
-            picks = g.neighbors(v)[:k]
-            return FanWitness(v, tuple(frozenset([u]) for u in picks))
         nbrs = g.rows[v]
-        # every (r-1)-clique vertex has a neighbor inside the neighborhood,
-        # so the packing lives on the neighborhood's non-isolated core
+        # a vertex of an (r-1)-clique inside the neighborhood has r - 2
+        # neighbors there, so the packing lives on the vertices that do
         active = 0
         rest = nbrs
         while rest:
             low = rest & -rest
-            if g.rows[low.bit_length() - 1] & nbrs:
+            if (g.rows[low.bit_length() - 1] & nbrs).bit_count() >= r - 2:
                 active |= low
             rest ^= low
         if active.bit_count() < need:

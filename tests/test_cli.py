@@ -367,8 +367,8 @@ class TestHelpAndErrors:
             "brute": ["--n", "--k", "--r", "--mode", "--resume", "--checkpoint",
                       "--checkpoint-every"],
             "brutef": ["--beta", "--delta", "--nmax"],
-            "family": ["--n", "--k", "--r", "--imbalance", "--tol"],
-            "verify": ["--n", "--k", "--r", "--imbalance", "--tol"],
+            "family": ["--n", "--k", "--r", "--imbalance"],
+            "verify": ["--n", "--k", "--r", "--imbalance"],
         }
         # the flags every search shares
         for cmd in ("brute", "brutef", "family", "verify"):
@@ -380,8 +380,10 @@ class TestHelpAndErrors:
             text = sub_actions.choices[cmd].format_help()
             for flag in flags:
                 assert flag in text, (cmd, flag)
-        # brute scores exactly and has no tolerance to take
-        assert "--tol" not in sub_actions.choices["brute"].format_help()
+        # brute scores exactly, and family and verify solve at the default
+        # tol: none of them takes a tolerance
+        for cmd in ("brute", "family", "verify"):
+            assert "--tol" not in sub_actions.choices[cmd].format_help(), cmd
 
     def test_missing_required_is_exit_2(self):
         code, _, _ = run_cli(["turannum", "--n", "5"])
@@ -408,6 +410,7 @@ class TestHelpAndErrors:
             ["brute", "--n", "8", "--k", "2", "--r", "3", "--mode", "lambda", "--tol", "-1"],
             ["brute", "--n", "4", "--k", "1", "--r", "3", "--tol", "-1", "--mode", "edges"],
             ["lambda", "--construct", "turan:{n},2", "--sweep", "n=5:0:3"],
+            # family and verify take no --tol either
             ["family", "--n", "450", "--k", "3", "--r", "3", "--tol", "-1"],
             ["verify", "--n", "8", "--k", "2", "--r", "3", "--tol", "0"],
             ["brute", "--n", "5", "--k", "1", "--r", "3", "--checkpoint-every", "5"],
@@ -463,7 +466,7 @@ class TestHelpAndErrors:
         # a graph in stdin: a command that fell back to reading it would exit 0
         code, out, err = run_cli(argv, stdin="B?\n")
         assert code == 2
-        if argv[0] == "brute" and "--tol" in argv:
+        if argv[0] in ("brute", "family", "verify") and "--tol" in argv:
             assert "unrecognized arguments: --tol" in err
         else:
             assert err.startswith("error:")

@@ -383,15 +383,17 @@ class TestBruteForceExtremal:
         assert not (tmp_path / "missing").exists()
 
     def test_bad_tol_rejected_before_enumeration(self, monkeypatch):
+        # the searches solve at the default tol and take none: any tol, even
+        # a valid one, is a TypeError before anything is enumerated
         def enumerate_nothing(*args, **kwargs):
-            raise AssertionError("enumerated before checking tol")
+            raise AssertionError("enumerated before rejecting tol")
 
         monkeypatch.setattr(oracle, "_levels", enumerate_nothing)
         monkeypatch.setattr(oracle, "g0_candidates", enumerate_nothing)
-        for tol in (-1.0, 0.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
+        for tol in (-1.0, float("nan"), 1e-10):
+            with pytest.raises(TypeError):
                 family_search(450, (3, 3), tol=tol)
-            with pytest.raises(ValueError):
+            with pytest.raises(TypeError):
                 verify_main_theorem(8, (2, 3), tol=tol)
 
     def test_checkpoint_mismatch_rejected(self, tmp_path):

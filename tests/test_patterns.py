@@ -118,14 +118,18 @@ class TestCliquePacking:
 
             return rec(0, frozenset())
 
+        # limits below the maximum take the search's early exit
         rng = random.Random(19)
         for _ in range(60):
             g = random_graph(8, rng.random(), rng)
-            for s in (2, 3, 4):
-                assert clique_packing_number(g, s, g.n) == brute_packing(g, s), (
-                    sorted(g.edges()),
-                    s,
-                )
+            for s in (1, 2, 3, 4):
+                expect = brute_packing(g, s)
+                for limit in (1, 2, g.n):
+                    assert clique_packing_number(g, s, limit) == min(expect, limit), (
+                        sorted(g.edges()),
+                        s,
+                        limit,
+                    )
 
     def test_disjoint_odd_cliques(self):
         # floor(|avail|/s) alone left the search branching over the cliques
@@ -193,9 +197,16 @@ class TestContainsFan:
         rng = random.Random(8)
         for _ in range(80):
             g = random_graph(6, rng.random(), rng)
+            degs = g.degrees()
             for k in range(1, 5):
-                expect = max(g.degrees(), default=0) >= k
-                assert (contains_fan(g, (k, 2)) is not None) == expect
+                w = contains_fan(g, (k, 2))
+                assert (w is not None) == (max(degs, default=0) >= k)
+                if w is not None:
+                    # the first center in (-degree, label) order, with its k
+                    # lowest neighbors
+                    center = min(range(g.n), key=lambda v: (-degs[v], v))
+                    picks = tuple(frozenset([u]) for u in g.neighbors(center)[:k])
+                    assert (w.center, w.cliques) == (center, picks)
 
     def test_monotone_under_edge_deletion(self):
         rng = random.Random(12)
@@ -228,6 +239,22 @@ class TestContainsFan:
             g = random_graph(5, rng.random(), rng)
             for k, r in ((1, 3), (2, 3), (1, 4), (2, 2)):
                 assert (contains_fan(g, (k, r)) is not None) == naive_contains(g, k, r)
+
+    def test_agrees_with_naive_embedding_dense_n7(self):
+        # at r >= 4 the packing runs only on the neighbors with r - 2
+        # neighbors inside the neighborhood; (2,4) needs a center of degree 6,
+        # so the graphs are dense
+        rng = random.Random(45)
+        found = 0
+        for _ in range(60):
+            g = random_graph(7, rng.uniform(0.6, 1.0), rng)
+            for spec in ((2, 4), (1, 5)):
+                w = contains_fan(g, spec)
+                assert (w is not None) == naive_contains(g, *spec), (sorted(g.edges()), spec)
+                if w is not None:
+                    w.validate(g)
+                    found += 1
+        assert found > 20
 
     def test_agrees_with_naive_embedding_on_any_graph(self):
         hypothesis = pytest.importorskip("hypothesis")

@@ -241,6 +241,7 @@ def _scan_centers(g: Graph, degs: Sequence[int], k: int, r: int) -> FanWitness |
     (-degs[v], v); `degs` may exceed the degrees in `g` (the degrees in the
     graph `g` was reduced from)."""
     need = k * (r - 1)
+    inner_deg = r - 2
     for v in sorted(range(g.n), key=lambda u: (-degs[u], u)):
         if degs[v] < need:
             break
@@ -251,7 +252,7 @@ def _scan_centers(g: Graph, degs: Sequence[int], k: int, r: int) -> FanWitness |
         rest = nbrs
         while rest:
             low = rest & -rest
-            if (g.rows[low.bit_length() - 1] & nbrs).bit_count() >= r - 2:
+            if (g.rows[low.bit_length() - 1] & nbrs).bit_count() >= inner_deg:
                 active |= low
             rest ^= low
         if active.bit_count() < need:

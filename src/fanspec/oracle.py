@@ -16,7 +16,8 @@ exactly-once because the invariant and the canonical labels are both
 isomorphism-equivariant, so the deletion vertex is fixed up to
 automorphism by the child's class alone.  The acceptance test is local to
 a parent, so no global seen set is needed and the parents of the last
-level are independent tasks for the worker pool.
+level are independent tasks: `_map` runs a stride of them in each forked
+worker and another in the caller.
 
 Each level stores its classes as canonical rows, so it is the sorted list
 of their canonical forms whichever parent emitted them, and it labels the
@@ -362,18 +363,76 @@ def _scan_extremal_parent(
     return len(children), len(free), scored
 
 
-def _map(fn, tasks: Sequence, jobs: int, chunksize: int | None = None) -> Iterator:
-    """fn over tasks, results in task order: the builtin map at one job,
-    else a pool's imap in chunks of `chunksize` tasks, by default sized as
-    Pool.map sizes them (about four per worker).  imap hands back a whole
-    chunk at once, so a chunk is the least work the caller sees finish."""
-    if jobs <= 1 or len(tasks) <= 1:
+def _serve(fn, tasks: Sequence, fd: int, inherited) -> None:
+    """Worker: each result of fn over tasks, or the exception a task raised
+    (then no more), as one pickle record on fd, flushed per result; then
+    leave by os._exit, so nothing of the caller's runs in the worker.  A
+    write after the caller has gone raises BrokenPipeError, which ends it."""
+    import pickle
+
+    try:
+        for f in inherited:  # the read ends, which only the caller reads
+            f.close()
+        with open(fd, "wb") as out:
+            for task in tasks:
+                try:
+                    ok, value = True, fn(task)
+                except Exception as exc:
+                    ok, value = False, exc
+                out.write(pickle.dumps((ok, value)))
+                out.flush()
+                if not ok:
+                    break
+    finally:
+        os._exit(0)
+
+
+def _map(fn, tasks: Sequence, jobs: int) -> Iterator:
+    """fn over tasks, results in task order.  At one job (or where there is
+    no os.fork) the builtin map.  Else the caller is worker 0: it forks
+    min(jobs, len(tasks)) − 1 workers, worker j runs tasks[j::jobs] from
+    the memory it was forked with and streams its results through its own
+    pipe, and the caller runs its own share between reading the others'.
+    An exception a task raised is raised here in its turn.  However the map
+    ends, normally, by an exception or because the caller stops reading, it
+    closes the pipes and kills and reaps every worker it started."""
+    jobs = min(jobs, len(tasks))
+    if jobs <= 1 or not hasattr(os, "fork"):
         yield from map(fn, tasks)
         return
-    import multiprocessing
+    import pickle
+    import signal
 
-    with multiprocessing.Pool(processes=jobs) as pool:
-        yield from pool.imap(fn, tasks, chunksize or -(-len(tasks) // (4 * jobs)))
+    readers = []
+    pids = []
+    try:
+        for j in range(1, jobs):
+            r, w = os.pipe()
+            readers.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(fn, tasks[j::jobs], w, readers)
+                pids.append(pid)
+            finally:
+                os.close(w)
+        for i, task in enumerate(tasks):
+            if i % jobs == 0:
+                yield fn(task)
+                continue
+            try:
+                ok, value = pickle.load(readers[i % jobs - 1])
+            except EOFError:
+                raise ChildProcessError(f"a worker ended before task {i} was done") from None
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for f in readers:
+            f.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _is_int(x) -> bool:
@@ -423,8 +482,10 @@ def brute_force_extremal(
 
     With a checkpoint path, the state is saved after each parent that brings
     the classes examined since the last save to `checkpoint_every` (default
-    10^6).  The pool then takes one parent a chunk, so a save can follow
-    any parent and a kill loses at most the parents in flight."""
+    10^6).  Results reach the merge one parent at a time at every job
+    count, so a save can follow any parent, and a kill loses only the
+    parents after the last save, with whatever the workers finished ahead
+    of the merge."""
     spec = fanspec_of(spec)
     if mode not in ("edges", "lambda"):
         raise ValueError("mode must be 'edges' or 'lambda'")
@@ -496,21 +557,22 @@ def brute_force_extremal(
     # best (module docstring); edges mode never reads it
     floor = exact_spectral_radius(turan_graph(n, spec.r - 1)) if mode == "lambda" else 0.0
     scan = partial(_scan_extremal_parent, spec=spec, mode=mode, floor=floor)
-    results = _map(scan, parents[start:], jobs, 1 if checkpoint_path else None)
-    for cursor, (count, count_free, scored) in enumerate(results, start + 1):
-        examined += count
-        free += count_free
-        for value, crows in scored:
-            if best is None or value > best:
-                best, cands = value, []
-            if value == best:
-                cands.append(crows)
-        since_ckpt += count
-        if checkpoint_path and since_ckpt >= checkpoint_every:
-            since_ckpt = 0
-            state = dict(ckpt_key)
-            state.update(zip(progress, (cursor, examined, free, best, _graph6_of(cands))))
-            _write_json_atomic(checkpoint_path, state)
+    # closed here, not when the frame goes, so a failed save stops the workers
+    with contextlib.closing(_map(scan, parents[start:], jobs)) as results:
+        for cursor, (count, count_free, scored) in enumerate(results, start + 1):
+            examined += count
+            free += count_free
+            for value, crows in scored:
+                if best is None or value > best:
+                    best, cands = value, []
+                if value == best:
+                    cands.append(crows)
+            since_ckpt += count
+            if checkpoint_path and since_ckpt >= checkpoint_every:
+                since_ckpt = 0
+                state = dict(ckpt_key)
+                state.update(zip(progress, (cursor, examined, free, best, _graph6_of(cands))))
+                _write_json_atomic(checkpoint_path, state)
 
     witnesses = tuple(sorted(_graph6_of(cands)))
     formula, applicable = _formula(n, spec)
@@ -714,7 +776,8 @@ def family_search(
     free_count = 0
     best = best_key = None
     scan = partial(_member_lambda, spec=spec)
-    for member, lam in zip(members, _map(scan, members, jobs)):
+    # strict: the map is read to its end, so its workers are reaped here
+    for member, lam in zip(members, _map(scan, members, jobs), strict=True):
         if lam is None:
             continue
         free_count += 1

@@ -121,6 +121,11 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.result = result
 
+    def __reduce__(self):
+        # the default rebuilds from .args alone, without the result, and
+        # fails; a search's worker sends its error to the caller as a pickle
+        return type(self), (self.args[0], self.result)
+
 
 def _dense_adjacency(rows: tuple[int, ...]) -> np.ndarray:
     """The boolean adjacency matrix of the bitmask rows."""

@@ -549,14 +549,20 @@ class TestHelpAndErrors:
 
 # Runs `cli.main` on each argv in a fresh interpreter, output discarded, and
 # prints whether numpy was loaded after the import and after each command.
+# It also checks after each command that multiprocessing was never loaded
+# and that no child process is left.
 NUMPY_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 from fanspec import cli
 seen = ["numpy" in sys.modules]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     assert code in (0, 1), (argv, code)
+    assert "multiprocessing" not in sys.modules, argv
+    with contextlib.suppress(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+        raise AssertionError(("a child was left", argv))
     seen.append("numpy" in sys.modules)
 print(json.dumps(seen))
 """
@@ -569,15 +575,22 @@ print(json.dumps(seen))
             [
                 ["brute", "--n", "6", "--k", "2", "--r", "3", "--mode", "lambda", "--jobs", "2"],
                 ["brute", "--n", "6", "--k", "2", "--r", "3", "--mode", "edges"],
-                ["brutef", "--beta", "1", "--delta", "2", "--nmax", "5"],
+                ["brutef", "--beta", "1", "--delta", "2", "--nmax", "5", "--jobs", "2"],
                 ["check", "--construct", "fan:2,3", "--k", "2", "--r", "3"],
                 ["turannum", "--n", "20", "--k", "2", "--r", "3"],
             ],
             [False] * 6,
         ),
         ([["lambda", "--construct", "turan:6,2"]], [False, True]),
+        (
+            [
+                ["family", "--n", "30", "--k", "2", "--r", "3", "--jobs", "2"],
+                ["verify", "--n", "7", "--k", "2", "--r", "3", "--jobs", "2"],
+            ],
+            [False, True, True],
+        ),
     ],
-    ids=["integer-commands", "float-solve"],
+    ids=["integer-commands", "float-solve", "family-searches"],
 )
 def test_numpy_loads_at_the_first_float_solve(argvs, loaded):
     proc = subprocess.run(

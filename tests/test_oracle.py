@@ -1,11 +1,17 @@
 """The exhaustive oracle: enumeration, brute-force extrema, family search."""
 
+import errno
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 from itertools import combinations
 
 import pytest
 
+from fanspec import cli
 from fanspec import (
     EnumerationCapError,
     FanSpec,
@@ -287,28 +293,40 @@ class TestBruteForceExtremal:
         ).to_json(timing=False)
         assert resumed == clean
 
-    def test_checkpointed_pool_takes_one_parent_a_chunk(self, tmp_path, monkeypatch):
-        # imap hands back a whole chunk at once, so a save could follow
-        # only a chunk's last parent; one parent a chunk keeps a kill from
-        # losing more than the parents in flight
-        import multiprocessing.pool
+    def test_checkpoint_can_follow_every_parent_at_two_jobs(self, tmp_path, monkeypatch):
+        # results arrive one parent at a time at every job count, so a save
+        # can follow any parent and a kill loses only what the workers
+        # finished ahead of the merge
+        real = oracle._write_json_atomic
+        cursors = []
 
-        real = multiprocessing.pool.Pool.imap
-        sizes = []
+        def record(path, state):
+            cursors.append(state["parent_cursor"])
+            real(path, state)
 
-        def spy(pool, fn, tasks, chunksize=1):
-            sizes.append(chunksize)
-            return real(pool, fn, tasks, chunksize)
-
-        monkeypatch.setattr(multiprocessing.pool.Pool, "imap", spy)
+        monkeypatch.setattr(oracle, "_write_json_atomic", record)
         clean = brute_force_extremal(6, (1, 3), "edges").to_json(timing=False)
         ckpt = str(tmp_path / "state.json")
         rep = brute_force_extremal(
             6, (1, 3), "edges", jobs=2, checkpoint_path=ckpt, checkpoint_every=1
         )
-        assert sizes == [1]
+        assert cursors == list(range(1, 35))  # every class on 5 vertices
         assert rep.to_json(timing=False) == clean
-        assert json.load(open(ckpt))["parent_cursor"] == 34  # every class on 5 vertices
+        with open(ckpt) as fh:
+            assert json.load(fh)["parent_cursor"] == 34
+
+    def test_a_failed_save_at_two_jobs_leaves_no_child(self, tmp_path, monkeypatch):
+        # the error's traceback holds the merge's frame, and with it the map
+        def refuse(path, state):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(oracle, "_write_json_atomic", refuse)
+        ckpt = str(tmp_path / "state.json")
+        with pytest.raises(OSError) as info:
+            brute_force_extremal(
+                6, (1, 3), "edges", jobs=2, checkpoint_path=ckpt, checkpoint_every=1
+            )
+        assert info.value.args == ("disk full",) and no_child_left()
 
     def test_checkpoint_survives_a_failed_write(self, tmp_path, monkeypatch):
         import fanspec.oracle as om
@@ -478,9 +496,9 @@ class TestWalkBound:
         # the levels are stubbed empty, so nothing is enumerated
         floors = []
 
-        def record_floor(fn, tasks, jobs, chunksize=None):
+        def record_floor(fn, tasks, jobs):
             floors.append(fn.keywords["floor"])
-            return iter(())
+            yield from ()
 
         monkeypatch.setattr(oracle, "_levels", lambda n_max, pred=None: iter([(n_max, [])]))
         monkeypatch.setattr(oracle, "_map", record_floor)
@@ -564,6 +582,149 @@ class TestWalkBound:
             ckpt.write_text(text)
             resumed = brute_force_extremal(7, spec, "lambda", checkpoint_path=str(ckpt), resume=True)
             assert resumed.to_json(timing=False) == clean, text
+
+
+def no_child_left() -> bool:
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestMap:
+    """`_map`: the caller is worker 0, and forked workers stream their
+    results back; no test here starts more than four workers."""
+
+    def test_results_in_task_order(self):
+        caller = os.getpid()
+        for jobs in (2, 3, 5):
+            for count in (0, 1, 4, 7):
+                got = list(oracle._map(lambda t: (t * t, os.getpid()), range(count), jobs))
+                assert [sq for sq, _ in got] == [t * t for t in range(count)], (jobs, count)
+                # the caller runs tasks[0::used] itself, each worker another stride
+                used = min(jobs, count)
+                runs_here = [pid == caller for _, pid in got]
+                assert runs_here == [i % used == 0 for i in range(count)], (jobs, count)
+                assert no_child_left()
+
+    def test_a_worker_exception_keeps_its_type(self):
+        def fn(t):
+            if t == 3:  # a worker's task at two jobs
+                raise KeyError(t)
+            return t
+
+        with pytest.raises(KeyError) as info:
+            list(oracle._map(fn, range(6), 2))
+        assert info.value.args == (3,)
+        assert no_child_left()
+
+    def test_closing_early_leaves_no_child(self):
+        results = oracle._map(lambda t: time.sleep(t and 30) or t, range(6), 3)
+        assert next(results) == 0
+        results.close()
+        assert no_child_left()
+
+    def test_a_failed_fork_reaps_the_worker_started(self, monkeypatch, capsys):
+        real_fork = os.fork
+        forks = []
+
+        def fork_once():
+            forks.append(None)
+            if len(forks) == 2:
+                raise BlockingIOError(errno.EAGAIN, "fork refused")
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        with pytest.raises(BlockingIOError):
+            list(oracle._map(lambda t: time.sleep(30), range(6), 3))
+        assert len(forks) == 2 and no_child_left()
+        forks.clear()
+        assert cli.main(["brute", "--n", "6", "--k", "2", "--r", "3", "--jobs", "3"]) == 2
+        assert capsys.readouterr().err == "error: [Errno 11] fork refused\n"
+        assert len(forks) == 2 and no_child_left()
+
+
+# Raises ConvergenceError in one task that runs in the worker at two jobs
+# (odd index) and prints, for jobs 1 and 2, the message and result the
+# caller caught, then the CLI's exit code at two jobs.  argv[1] names the
+# search.
+CONVERGENCE_PROBE = """
+import contextlib, io, json, math, os, sys
+from fanspec import FanSpec, cli, oracle, turan_graph
+from fanspec.spectral import ConvergenceError, SpectrumResult
+
+def stalled(value):
+    return ConvergenceError(
+        "stalled", SpectrumResult(lam=value, vector=[1, 2], residual=0.5, iterations=9)
+    )
+
+spec = FanSpec(2, 3)
+if sys.argv[1] == "family":
+    target = oracle._family_members(30, spec, 2, 10)[1]
+    real = oracle._member_lambda
+
+    def fake(member, spec):
+        if member == target:
+            raise stalled(float(oracle._member_edges(member)))
+        return real(member, spec)
+
+    oracle._member_lambda = fake
+    run = lambda jobs: oracle.family_search(30, spec, jobs=jobs)
+    argv = ["family", "--n", "30", "--k", "2", "--r", "3", "--jobs", "2"]
+else:
+    # the first graph that a worker's parent brackets, at n = 6
+    *_, (_, parents) = oracle._levels(5)
+    real = oracle.exact_spectral_radius
+    floor = real(turan_graph(6, 2))
+    bracketed = []
+    oracle.exact_spectral_radius = lambda g, cutoff: bracketed.append(g.rows) or real(g, cutoff)
+    for parent in parents[1::2]:
+        oracle._scan_extremal_parent(parent, spec, "lambda", floor)
+        if bracketed:
+            break
+    target = bracketed[0]
+
+    def fake(g, cutoff=-math.inf):
+        if g.rows == target:
+            raise stalled(float(g.edge_count))
+        return real(g, cutoff)
+
+    oracle.exact_spectral_radius = fake
+    run = lambda jobs: oracle.brute_force_extremal(6, spec, "lambda", jobs=jobs)
+    argv = ["brute", "--n", "6", "--k", "2", "--r", "3", "--mode", "lambda", "--jobs", "2"]
+caught = []
+for jobs in (1, 2):
+    try:
+        run(jobs)
+    except ConvergenceError as exc:
+        r = exc.result
+        caught.append([str(exc), r.lam, r.vector, r.residual, r.iterations])
+with contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(argv)
+with contextlib.suppress(ChildProcessError):
+    os.waitpid(-1, os.WNOHANG)
+    code = "a child was left"
+print(json.dumps([caught, code]))
+"""
+
+
+@pytest.mark.parametrize("search", ["family", "brute"])
+def test_convergence_error_in_a_worker_reaches_the_caller(search):
+    # the error used to break the unpickling of a pool's result and hang
+    # the caller, hence the timeout
+    proc = subprocess.run(
+        [sys.executable, "-c", CONVERGENCE_PROBE, search],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    caught, code = json.loads(proc.stdout)
+    assert len(caught) == 2 and caught[0] == caught[1]
+    assert caught[0][0] == "stalled" and caught[0][2:] == [[1, 2], 0.5, 9]
+    assert code == 3
 
 
 class TestBruteForceF:

@@ -220,8 +220,6 @@ def _cmd_brute(args) -> int:
         jobs=args.jobs,
         cap=_enum_cap(),
         checkpoint_path=args.checkpoint,
-        resume=args.resume,
-        checkpoint_every=args.checkpoint_every,
     )
     return _report(args, report)
 
@@ -351,11 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = _add_search(sub, "brute", "exhaustive extremal search", _cmd_brute, "n", "k", "r")
     pb.add_argument("--mode", choices=["edges", "lambda"], default="edges")
-    pb.add_argument("--checkpoint", help="sidecar JSON for checkpoint/resume")
-    pb.add_argument("--resume", action="store_true", help="resume from checkpoint")
-    pb.add_argument(
-        "--checkpoint-every", type=int, help="classes between checkpoints (default 10^6)"
-    )
+    pb.add_argument("--checkpoint", help="resumed if it matches the run; saved every 10^6 classes")
 
     _add_search(
         sub, "brutef", "bounded degree+matching edge maximum", _cmd_brutef, "beta", "delta", "nmax"

@@ -95,10 +95,19 @@ def embed_in_part(
     """Complete multipartite graph with parts laid out consecutively, plus
     `edges` (labeled from 0 within part `host`) added inside the host part.
     Dense up to the kernel limit or with a single part (then the graph is
-    just the patch), a ``StructuredGraph`` otherwise."""
+    just the patch), a ``StructuredGraph`` otherwise; the edges are checked
+    here, so both give the same error."""
     offset = sum(sizes[:host])
-    patch = [(offset + a, offset + b) for a, b in edges]
     n = sum(sizes)
+    patch = []
+    for a, b in edges:
+        if a == b:
+            raise ValueError("loop in patch")
+        if not (0 <= offset + a < n and 0 <= offset + b < n):
+            raise ValueError("patch vertex out of range")
+        if not (0 <= a < sizes[host] and 0 <= b < sizes[host]):
+            raise ValueError("patch edges must stay inside one part")
+        patch.append((offset + a, offset + b))
     if n > DENSE_KERNEL_LIMIT and len(sizes) > 1:
         return StructuredGraph(sizes, patch)
     return Graph._from_rows_unchecked(_multipartite_rows(sizes, patch))

@@ -107,6 +107,8 @@ from .patterns import clique_packing_number, contains_fan, matching_number
 from .spectral import exact_spectral_radius, spectral_radius
 
 DEFAULT_ENUM_CAP = 10
+# classes examined between two checkpoint saves of `brute_force_extremal`
+CHECKPOINT_CLASSES = 10**6
 
 
 class EnumerationCapError(ValueError):
@@ -250,15 +252,11 @@ def enumerate_graphs(n: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Graph]:
 # --- reports ---------------------------------------------------------------
 
 
-def _round12(x: float) -> float:
-    return float(f"{x:.12g}")
-
-
 def _json_value(x):
     """x as JSON data: floats to 12 significant digits, tuples and lists as
     lists, frozensets as sorted lists, dicts by value."""
     if isinstance(x, float):
-        return _round12(x)
+        return float(f"{x:.12g}")
     if isinstance(x, (tuple, list)):
         return [_json_value(v) for v in x]
     if isinstance(x, frozenset):
@@ -439,10 +437,6 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_number(x) -> bool:
-    return (_is_int(x) or isinstance(x, float)) and math.isfinite(x)
-
-
 def _graph6_of(cands: list[Rows]) -> list[str]:
     """Each class's rows as canonical graph6."""
     return [to_graph6(canonical_form(Graph._from_rows_unchecked(c))) for c in cands]
@@ -474,18 +468,19 @@ def brute_force_extremal(
     jobs: int = 1,
     cap: int = DEFAULT_ENUM_CAP,
     checkpoint_path: str | None = None,
-    resume: bool = False,
-    checkpoint_every: int | None = None,
 ) -> ExtremalReport:
     """Exact maximum edges or spectral radius over every fan-free
     isomorphism class on n vertices, with all achieving witnesses.
 
-    With a checkpoint path, the state is saved after each parent that brings
-    the classes examined since the last save to `checkpoint_every` (default
-    10^6).  Results reach the merge one parent at a time at every job
-    count, so a save can follow any parent, and a kill loses only the
-    parents after the last save, with whatever the workers finished ahead
-    of the merge."""
+    With a checkpoint path, a file already there is resumed when its key
+    (n, k, r, mode, acceptance rule) is this run's, and is otherwise a
+    ValueError, and never written; only the cursor's upper bound, the
+    number of parents, is checked after the levels are built.  The state is
+    saved after each parent that brings the classes examined since the last
+    save to CHECKPOINT_CLASSES.  Results reach the merge one parent at a
+    time at every job count, so a save can follow any parent, and a kill
+    loses only the parents after the last save, with whatever the workers
+    finished ahead of the merge."""
     spec = fanspec_of(spec)
     if mode not in ("edges", "lambda"):
         raise ValueError("mode must be 'edges' or 'lambda'")
@@ -493,20 +488,9 @@ def brute_force_extremal(
         raise ValueError("n must be at least 1")
     if n > cap:
         raise EnumerationCapError(f"n={n} exceeds the enumeration cap {cap}")
-    if resume and not checkpoint_path:
-        raise ValueError("resume needs a checkpoint path")
-    if checkpoint_every is None:
-        checkpoint_every = 10**6
-    elif not checkpoint_path:
-        raise ValueError("checkpoint_every needs a checkpoint path")
-    elif checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be at least 1")
     if checkpoint_path and not os.path.isdir(os.path.dirname(os.path.abspath(checkpoint_path))):
         raise ValueError(f"checkpoint directory of {checkpoint_path!r} does not exist")
     t0 = time.monotonic()
-
-    for _, parents in _levels(n - 1):
-        pass
 
     start = 0
     examined = 0
@@ -527,7 +511,7 @@ def brute_force_extremal(
         "deletion_vertex": "max-invariant",
     }
     progress = ("parent_cursor", "examined", "free", "best", "cands")
-    if resume and os.path.exists(checkpoint_path):
+    if checkpoint_path and os.path.exists(checkpoint_path):
         with open(checkpoint_path) as fh:
             state = json.load(fh)
         # any other key (a batch cursor, say) belongs to another format
@@ -540,17 +524,23 @@ def brute_force_extremal(
         start, examined, free, best, cands = (state[k] for k in progress)
         if not (
             _is_int(start)
-            and 0 <= start <= len(parents)
+            and start >= 0
             and _is_int(examined)
             and _is_int(free)
             and 0 <= free <= examined
-            and (best is None or _is_number(best))
+            # an int is finite, and math.isfinite overflows on a huge one
+            and (best is None or _is_int(best) or isinstance(best, float) and math.isfinite(best))
             and isinstance(cands, list)
             and (best is None) == (not cands)
             and all(isinstance(s, str) and from_graph6(s).n == n for s in cands)
         ):
             raise ValueError("checkpoint progress is malformed")
         cands = [from_graph6(s).rows for s in cands]
+
+    for _, parents in _levels(n - 1):
+        pass
+    if start > len(parents):
+        raise ValueError("checkpoint progress is malformed")
 
     since_ckpt = 0
     # T(n, r−1) is K_r-free, so fan-free, and its score is a floor under the
@@ -568,7 +558,7 @@ def brute_force_extremal(
                 if value == best:
                     cands.append(crows)
             since_ckpt += count
-            if checkpoint_path and since_ckpt >= checkpoint_every:
+            if checkpoint_path and since_ckpt >= CHECKPOINT_CLASSES:
                 since_ckpt = 0
                 state = dict(ckpt_key)
                 state.update(zip(progress, (cursor, examined, free, best, _graph6_of(cands))))
@@ -763,7 +753,10 @@ def family_search(
 ) -> FamilyReport:
     """Maximize the spectral radius over the structured family: every
     near-balanced part-size vector x every embeddable bounded graph x every
-    host part, keeping only members the detector certifies fan-free.
+    host part, keeping only members the detector certifies fan-free.  Of
+    the members with exactly the best λ the winner has the fewest edges.  No
+    member has more edges than the closed form, so `matches_formula` holds
+    exactly when every maximizer in the family has the closed form's count.
 
     The imbalance sweep deliberately includes unbalanced vectors so balance
     is demonstrated rather than assumed."""
@@ -782,14 +775,14 @@ def family_search(
             continue
         free_count += 1
         sizes, g0_g6, _, host = member
-        key = (lam, _member_edges(member), sizes, g0_g6, -host)
+        key = (lam, -_member_edges(member), sizes, g0_g6, -host)
         if best is None or key > best_key:
             best, best_key = member, key
 
     if best is None:
         raise RuntimeError("no fan-free member in the family sweep")
     sizes, g0_g6, g0_edges, host = best
-    lam, edges = best_key[:2]
+    lam, edges = best_key[0], _member_edges(best)
     formula, applicable = _formula(n, spec)
     witnesses: tuple[str, ...] = ()
     if n <= DENSE_KERNEL_LIMIT:

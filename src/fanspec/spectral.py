@@ -451,21 +451,16 @@ class PerronBoundReport:
     holds: bool
 
 
-def perron_entry_bound_check(
-    g: AnyGraph,
-    spec: FanSpec | tuple[int, int],
-    tol: float | None = None,
-) -> PerronBoundReport:
+def perron_entry_bound_check(g: AnyGraph, spec: FanSpec | tuple[int, int]) -> PerronBoundReport:
     """Smallest Perron entry (max-1 normalization) against 1 - 20k^2r^2/n.
 
-    tol None means DEFAULT_TOL where ``long double`` is wider than float64,
-    and 1e-8 where it is float64: there the loop polishes in float64, and at
-    n ~ 10^6 the default tol of 1e-10 is 1-2 ulps of lambda, below what the
-    loop can reach.  Requires a connected graph."""
+    The solve's tol is DEFAULT_TOL where ``long double`` is wider than
+    float64, and 1e-8 where it is float64: there the loop polishes in
+    float64, and at n ~ 10^6 the default tol of 1e-10 is 1-2 ulps of lambda,
+    below what the loop can reach.  Requires a connected graph."""
     import numpy as np
 
-    if tol is None:
-        tol = DEFAULT_TOL if np.finfo(np.longdouble).eps < np.finfo(float).eps else 1e-8
+    tol = DEFAULT_TOL if np.finfo(np.longdouble).eps < np.finfo(float).eps else 1e-8
     spec = fanspec_of(spec)
     if not g.is_connected():
         raise ValueError("graph must be connected")

@@ -1,9 +1,12 @@
 """CLI surface: subcommands, exit codes, JSON shapes, determinism."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -46,7 +49,7 @@ BRUTE5_CHECKPOINT = {
 def resume_brute5(**progress):
     """argv that resumes `brute --n 5 --k 1 --r 3` from BRUTE5_CHECKPOINT
     with these progress values, which the test writes to a file."""
-    return ["brute", "--n", "5", "--k", "1", "--r", "3", "--resume", "--checkpoint", progress]
+    return ["brute", "--n", "5", "--k", "1", "--r", "3", "--checkpoint", progress]
 
 
 class TestConstruct:
@@ -364,8 +367,7 @@ class TestHelpAndErrors:
             "check": ["--k", "--r", "--witness", "--g6", "--file"],
             "turannum": ["--n", "--k", "--r", "--raw"],
             "charpoly": ["--sizes", "--x", "--raw"],
-            "brute": ["--n", "--k", "--r", "--mode", "--resume", "--checkpoint",
-                      "--checkpoint-every"],
+            "brute": ["--n", "--k", "--r", "--mode", "--checkpoint"],
             "brutef": ["--beta", "--delta", "--nmax"],
             "family": ["--n", "--k", "--r", "--imbalance"],
             "verify": ["--n", "--k", "--r", "--imbalance"],
@@ -384,6 +386,30 @@ class TestHelpAndErrors:
         # tol: none of them takes a tolerance
         for cmd in ("brute", "family", "verify"):
             assert "--tol" not in sub_actions.choices[cmd].format_help(), cmd
+        # a checkpoint is resumed whenever it matches, and saved every 10^6
+        # classes: neither takes a flag
+        for flag in ("--resume", "--checkpoint-every"):
+            assert flag not in sub_actions.choices["brute"].format_help(), flag
+
+    def test_readme_examples_parse(self):
+        # every `fanspec ...` line of the README's bash blocks, as argv, so a
+        # flag gone from the parser cannot linger in the docs
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        examples = []
+        for block in re.findall(r"```bash\n(.*?)```", text, re.S):
+            for line in block.splitlines():
+                words = shlex.split(line, comments=True)
+                if "fanspec" in words:
+                    examples.append(words[words.index("fanspec") + 1 :])
+        parser = build_parser()
+        for argv in examples:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README example does not parse: fanspec {shlex.join(argv)}")
+        sub_actions = next(a for a in parser._actions if getattr(a, "choices", None))
+        assert {argv[0] for argv in examples} == set(sub_actions.choices)
+        assert any(argv[0] == "brute" and "--checkpoint" in argv for argv in examples)
 
     def test_missing_required_is_exit_2(self):
         code, _, _ = run_cli(["turannum", "--n", "5"])
@@ -413,6 +439,8 @@ class TestHelpAndErrors:
             # family and verify take no --tol either
             ["family", "--n", "450", "--k", "3", "--r", "3", "--tol", "-1"],
             ["verify", "--n", "8", "--k", "2", "--r", "3", "--tol", "0"],
+            # a checkpoint is resumed whenever it matches and saved every
+            # 10^6 classes: the flags that set either are gone
             ["brute", "--n", "5", "--k", "1", "--r", "3", "--checkpoint-every", "5"],
             ["family", "--n", "21", "--k", "2", "--r", "3", "--imbalance", "0"],
             ["family", "--n", "21", "--k", "2", "--r", "3", "--imbalance", "-1"],
@@ -421,6 +449,7 @@ class TestHelpAndErrors:
             ["charpoly", "--sizes", "2,3", "--x", "nan"],
             ["charpoly", "--sizes", "2,3", "--x", "inf"],
             ["brute", "--n", "7", "--k", "2", "--r", "3", "--resume"],
+            # a checkpoint at the path is resumed, and a malformed one is exit 2
             resume_brute5(parent_cursor="1"),
             resume_brute5(parent_cursor=True),
             resume_brute5(parent_cursor=-1),
@@ -466,8 +495,9 @@ class TestHelpAndErrors:
         # a graph in stdin: a command that fell back to reading it would exit 0
         code, out, err = run_cli(argv, stdin="B?\n")
         assert code == 2
-        if argv[0] in ("brute", "family", "verify") and "--tol" in argv:
-            assert "unrecognized arguments: --tol" in err
+        removed = [f for f in ("--tol", "--resume", "--checkpoint-every") if f in argv]
+        if argv[0] in ("brute", "family", "verify") and removed:
+            assert f"unrecognized arguments: {removed[0]}" in err
         else:
             assert err.startswith("error:")
         assert "Traceback" not in err
@@ -482,10 +512,9 @@ class TestHelpAndErrors:
     def test_checkpoint_in_missing_directory_is_exit_2(self, tmp_path):
         ckpt = tmp_path / "missing" / "state.json"
         argv = ["brute", "--n", "5", "--k", "2", "--r", "3", "--checkpoint", str(ckpt)]
-        for extra in (["--checkpoint-every", "1"], []):
-            code, out, err = run_cli(argv + extra)
-            assert (code, out) == (2, "")
-            assert err.startswith("error:") and "does not exist" in err
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "does not exist" in err
         assert not ckpt.parent.exists()
 
     @pytest.mark.parametrize(
@@ -503,15 +532,6 @@ class TestHelpAndErrors:
         assert len(calls) == 1 and calls[0][0] == 5
         assert json.loads(capsys.readouterr().out)["n"] == 5
 
-    @pytest.mark.parametrize("every", ["0", "-3"])
-    def test_checkpoint_every_below_one_is_exit_2(self, tmp_path, every):
-        ckpt = tmp_path / "state.json"
-        argv = ["brute", "--n", "5", "--k", "1", "--r", "3", "--checkpoint", str(ckpt)]
-        code, out, err = run_cli(argv + ["--checkpoint-every", every])
-        assert (code, out) == (2, "")
-        assert err.startswith("error:") and "Traceback" not in err
-        assert not ckpt.exists()
-
     def test_batch_format_checkpoint_is_exit_2(self, tmp_path):
         # the format before the cursor counted parents: a batch size in the
         # key and a cursor over batches of 32 parents
@@ -526,10 +546,12 @@ class TestHelpAndErrors:
                 }
             )
         )
+        text = ckpt.read_text()
         argv = ["brute", "--n", "6", "--k", "1", "--r", "3", "--checkpoint", str(ckpt)]
-        code, out, err = run_cli(argv + ["--resume"])
+        code, out, err = run_cli(argv)
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "Traceback" not in err
+        assert ckpt.read_text() == text
 
     def test_construct_spec_parser(self):
         assert parse_construct_spec("turan:5,2") == turan_graph(5, 2)

@@ -92,6 +92,18 @@ class TestEmbedInPart:
             assert dense == sg.to_graph(), (sizes, host, edges)
             checked += 1
 
+    @pytest.mark.parametrize("sizes", [[3, 3], [3, 77]])
+    def test_bad_edges_are_one_error_on_both_paths(self, sizes):
+        # n = 6 is built dense and n = 80 structured; the edges are checked
+        # before either path
+        for edge, message in (
+            ((0, 0), "loop in patch"),
+            ((0, 4), "patch edges must stay inside one part"),
+            ((0, 90), "patch vertex out of range"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                embed_in_part(sizes, 0, [edge])
+
 
 class TestTuranGraph:
     def test_t2_of_5(self):

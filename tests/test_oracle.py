@@ -280,17 +280,16 @@ class TestBruteForceExtremal:
             calls["n"] += 1
             return real(*args, **kwargs)
 
+        monkeypatch.setattr(om, "CHECKPOINT_CLASSES", 1)
         monkeypatch.setattr(om, "_scan_extremal_parent", explode_after_one)
         with pytest.raises(KeyboardInterrupt):
-            brute_force_extremal(
-                6, (1, 3), "edges", checkpoint_path=ckpt, checkpoint_every=1
-            )
+            brute_force_extremal(6, (1, 3), "edges", checkpoint_path=ckpt)
         monkeypatch.setattr(om, "_scan_extremal_parent", real)
         state = json.load(open(ckpt))
         assert state["parent_cursor"] == 1
-        resumed = brute_force_extremal(
-            6, (1, 3), "edges", checkpoint_path=ckpt, resume=True
-        ).to_json(timing=False)
+        resumed = brute_force_extremal(6, (1, 3), "edges", checkpoint_path=ckpt).to_json(
+            timing=False
+        )
         assert resumed == clean
 
     def test_checkpoint_can_follow_every_parent_at_two_jobs(self, tmp_path, monkeypatch):
@@ -305,11 +304,10 @@ class TestBruteForceExtremal:
             real(path, state)
 
         monkeypatch.setattr(oracle, "_write_json_atomic", record)
+        monkeypatch.setattr(oracle, "CHECKPOINT_CLASSES", 1)
         clean = brute_force_extremal(6, (1, 3), "edges").to_json(timing=False)
         ckpt = str(tmp_path / "state.json")
-        rep = brute_force_extremal(
-            6, (1, 3), "edges", jobs=2, checkpoint_path=ckpt, checkpoint_every=1
-        )
+        rep = brute_force_extremal(6, (1, 3), "edges", jobs=2, checkpoint_path=ckpt)
         assert cursors == list(range(1, 35))  # every class on 5 vertices
         assert rep.to_json(timing=False) == clean
         with open(ckpt) as fh:
@@ -321,11 +319,10 @@ class TestBruteForceExtremal:
             raise OSError("disk full")
 
         monkeypatch.setattr(oracle, "_write_json_atomic", refuse)
+        monkeypatch.setattr(oracle, "CHECKPOINT_CLASSES", 1)
         ckpt = str(tmp_path / "state.json")
         with pytest.raises(OSError) as info:
-            brute_force_extremal(
-                6, (1, 3), "edges", jobs=2, checkpoint_path=ckpt, checkpoint_every=1
-            )
+            brute_force_extremal(6, (1, 3), "edges", jobs=2, checkpoint_path=ckpt)
         assert info.value.args == ("disk full",) and no_child_left()
 
     def test_checkpoint_survives_a_failed_write(self, tmp_path, monkeypatch):
@@ -345,59 +342,49 @@ class TestBruteForceExtremal:
             real_dump(obj, fh, **kw)
 
         monkeypatch.setattr(om.json, "dump", die_halfway_through_second)
+        monkeypatch.setattr(om, "CHECKPOINT_CLASSES", 1)
         with pytest.raises(KeyboardInterrupt):
-            brute_force_extremal(
-                6, (1, 3), "edges", checkpoint_path=str(ckpt), checkpoint_every=1
-            )
+            brute_force_extremal(6, (1, 3), "edges", checkpoint_path=str(ckpt))
         monkeypatch.setattr(om.json, "dump", real_dump)
         # the first checkpoint is intact and no partial file is left beside it
         assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
         assert json.loads(ckpt.read_text())["parent_cursor"] == 1
-        resumed = brute_force_extremal(
-            6, (1, 3), "edges", checkpoint_path=str(ckpt), resume=True
-        ).to_json(timing=False)
+        resumed = brute_force_extremal(6, (1, 3), "edges", checkpoint_path=str(ckpt)).to_json(
+            timing=False
+        )
         assert resumed == clean
 
-    def test_checkpoint_in_the_tol_format_rejected(self, tmp_path):
+    def test_checkpoint_in_the_tol_format_rejected(self, tmp_path, monkeypatch):
         # the format before exact ties: `tol` in the key, and the witness
         # window as (graph6, value) pairs
+        monkeypatch.setattr(oracle, "CHECKPOINT_CLASSES", 1)
         ckpt = tmp_path / "state.json"
-        first = brute_force_extremal(
-            6, (1, 3), "lambda", checkpoint_path=str(ckpt), checkpoint_every=1
-        ).to_json(timing=False)
+        first = brute_force_extremal(6, (1, 3), "lambda", checkpoint_path=str(ckpt)).to_json(
+            timing=False
+        )
         state = json.loads(ckpt.read_text())
         pairs = [[s, state["best"]] for s in state["cands"]]
         ckpt.write_text(json.dumps({**state, "tol": 1e-10, "cands": pairs}))
         with pytest.raises(ValueError, match="does not match"):
-            brute_force_extremal(6, (1, 3), "lambda", checkpoint_path=str(ckpt), resume=True)
+            brute_force_extremal(6, (1, 3), "lambda", checkpoint_path=str(ckpt))
         ckpt.write_text(json.dumps(state))
-        again = brute_force_extremal(
-            6, (1, 3), "lambda", checkpoint_path=str(ckpt), resume=True
-        ).to_json(timing=False)
+        again = brute_force_extremal(6, (1, 3), "lambda", checkpoint_path=str(ckpt)).to_json(
+            timing=False
+        )
         assert again == first
-
-    def test_checkpoint_every_validated(self, tmp_path):
-        ckpt = str(tmp_path / "state.json")
-        for every in (0, -3):
-            with pytest.raises(ValueError):
-                brute_force_extremal(5, (1, 3), "edges", checkpoint_path=ckpt, checkpoint_every=every)
-        with pytest.raises(ValueError):
-            brute_force_extremal(5, (1, 3), "edges", checkpoint_every=5)
-        assert not (tmp_path / "state.json").exists()
 
     def test_missing_checkpoint_directory_rejected_before_enumeration(
         self, tmp_path, monkeypatch
     ):
         # found at the first save it would cost the work before it, and a
-        # run with fewer classes than checkpoint_every would never save
+        # run with fewer classes than CHECKPOINT_CLASSES would never save
         def enumerate_nothing(*args, **kwargs):
             raise AssertionError("enumerated before checking the checkpoint path")
 
         monkeypatch.setattr(oracle, "_levels", enumerate_nothing)
         ckpt = str(tmp_path / "missing" / "state.json")
-        for every in (1, None):
-            with pytest.raises(ValueError, match="does not exist"):
-                brute_force_extremal(5, (2, 3), "edges", checkpoint_path=ckpt, checkpoint_every=every)
+        with pytest.raises(ValueError, match="does not exist"):
+            brute_force_extremal(5, (2, 3), "edges", checkpoint_path=ckpt)
         assert not (tmp_path / "missing").exists()
 
     def test_bad_tol_rejected_before_enumeration(self, monkeypatch):
@@ -433,20 +420,97 @@ class TestBruteForceExtremal:
             )
         )
         with pytest.raises(ValueError):
-            brute_force_extremal(5, (1, 3), "edges", checkpoint_path=str(ckpt), resume=True)
+            brute_force_extremal(5, (1, 3), "edges", checkpoint_path=str(ckpt))
 
-    def test_checkpoint_of_another_acceptance_rule_rejected(self, tmp_path):
+    def test_checkpoint_best_too_large_for_a_float_is_read(self, tmp_path):
+        # an int is finite however large, and converting it for math.isfinite
+        # would raise OverflowError, a traceback at the command line
+        ckpt = tmp_path / "state.json"
+        parents = list(_levels(4))[4][1]
+        state = {
+            "kind": "brute", "n": 5, "k": 1, "r": 3, "mode": "edges",
+            "deletion_vertex": "max-invariant",
+            "parent_cursor": len(parents), "examined": 34, "free": 14,
+            "best": 10**400, "cands": ["D??"],
+        }
+        ckpt.write_text(json.dumps(state))
+        rep = brute_force_extremal(5, (1, 3), "edges", checkpoint_path=str(ckpt))
+        assert (rep.best_value, rep.witnesses) == (10**400, ("D??",))
+
+    def test_checkpoint_of_another_acceptance_rule_rejected(self, tmp_path, monkeypatch):
         # under the plain rule (deletion vertex labeled n - 1) other parent
         # batches emit some classes, so its batch cursor cannot be resumed
+        monkeypatch.setattr(oracle, "CHECKPOINT_CLASSES", 1)
         ckpt = tmp_path / "state.json"
-        brute_force_extremal(
-            6, (1, 3), "edges", checkpoint_path=str(ckpt), checkpoint_every=1
-        )
+        brute_force_extremal(6, (1, 3), "edges", checkpoint_path=str(ckpt))
         state = json.loads(ckpt.read_text())
         del state["deletion_vertex"]
         ckpt.write_text(json.dumps(state))
         with pytest.raises(ValueError):
-            brute_force_extremal(6, (1, 3), "edges", checkpoint_path=str(ckpt), resume=True)
+            brute_force_extremal(6, (1, 3), "edges", checkpoint_path=str(ckpt))
+
+    def test_a_matching_checkpoint_resumes_by_itself(self, tmp_path, monkeypatch):
+        # the file at the checkpoint path is the run's own: the scan takes
+        # only the parents after its cursor, and the report is the clean one
+        clean = brute_force_extremal(6, (1, 3), "edges").to_json(timing=False)
+        states = []
+        real_write = oracle._write_json_atomic
+        monkeypatch.setattr(oracle, "CHECKPOINT_CLASSES", 1)
+        monkeypatch.setattr(oracle, "_write_json_atomic", lambda path, obj: states.append(obj))
+        ckpt = tmp_path / "state.json"
+        brute_force_extremal(6, (1, 3), "edges", checkpoint_path=str(ckpt))
+        monkeypatch.setattr(oracle, "_write_json_atomic", real_write)
+        assert states[9]["parent_cursor"] == 10
+        ckpt.write_text(json.dumps(states[9]))
+        tasks = []
+        real_map = oracle._map
+
+        def spy(fn, parents, jobs):
+            tasks.extend(parents)
+            return real_map(fn, parents, jobs)
+
+        monkeypatch.setattr(oracle, "_map", spy)
+        rep = brute_force_extremal(6, (1, 3), "edges", checkpoint_path=str(ckpt))
+        assert tasks == list(_levels(5))[5][1][10:]
+        assert rep.to_json(timing=False) == clean
+
+    def test_a_foreign_checkpoint_is_rejected_unread_by_the_levels_and_kept(
+        self, tmp_path, monkeypatch
+    ):
+        # another run's file, or one that is not a checkpoint, is an error
+        # before any enumeration, and the run never writes over it
+        def enumerate_nothing(*args, **kwargs):
+            raise AssertionError("enumerated before checking the checkpoint")
+
+        monkeypatch.setattr(oracle, "_levels", enumerate_nothing)
+        own = {
+            "kind": "brute", "n": 5, "k": 1, "r": 3, "mode": "edges",
+            "deletion_vertex": "max-invariant",
+            "parent_cursor": 0, "examined": 0, "free": 0, "best": None, "cands": [],
+        }
+        ckpt = tmp_path / "state.json"
+        for text in (
+            json.dumps({**own, "k": 2}),
+            json.dumps({**own, "mode": "lambda"}),
+            json.dumps({**own, "examined": -5}),
+            json.dumps({**own, "best": 7}),
+            json.dumps([own]),
+            "{\"kind\": \"brute\"",
+        ):
+            ckpt.write_text(text)
+            with pytest.raises(ValueError):
+                brute_force_extremal(5, (1, 3), "edges", checkpoint_path=str(ckpt))
+            assert ckpt.read_text() == text
+
+    def test_removed_checkpoint_options_are_type_errors(self, tmp_path):
+        # a checkpoint is resumed whenever it matches, and saved every
+        # CHECKPOINT_CLASSES classes: neither is an argument
+        ckpt = str(tmp_path / "state.json")
+        with pytest.raises(TypeError):
+            brute_force_extremal(5, (1, 3), "edges", checkpoint_path=ckpt, resume=True)
+        with pytest.raises(TypeError):
+            brute_force_extremal(5, (1, 3), "edges", checkpoint_path=ckpt, checkpoint_every=1)
+        assert not os.path.exists(ckpt)
 
 
 def scan_solving_every_child(parent, spec, mode, floor):
@@ -562,10 +626,11 @@ class TestWalkBound:
         monkeypatch.setattr(
             oracle, "_write_json_atomic", lambda path, obj: states.setdefault(json.dumps(obj), obj)
         )
+        monkeypatch.setattr(oracle, "CHECKPOINT_CLASSES", 1)
         ckpt = tmp_path / "ckpt.json"
         for worker in (scan_solving_every_child, scan_with_float_solves, exact_worker):
             monkeypatch.setattr(oracle, "_scan_extremal_parent", worker)
-            brute_force_extremal(7, spec, "lambda", checkpoint_path=str(ckpt), checkpoint_every=1)
+            brute_force_extremal(7, spec, "lambda", checkpoint_path=str(ckpt))
         monkeypatch.setattr(oracle, "_write_json_atomic", real_write)
         levels = list(_levels(6))
         assert {s["parent_cursor"] for s in states.values()} == set(range(1, len(levels[6][1]) + 1))
@@ -580,7 +645,7 @@ class TestWalkBound:
         monkeypatch.setattr(oracle, "_scan_extremal_parent", scan_once)
         for text in states:
             ckpt.write_text(text)
-            resumed = brute_force_extremal(7, spec, "lambda", checkpoint_path=str(ckpt), resume=True)
+            resumed = brute_force_extremal(7, spec, "lambda", checkpoint_path=str(ckpt))
             assert resumed.to_json(timing=False) == clean, text
 
 
@@ -863,6 +928,66 @@ class TestFamilySearch:
         # (lowest host) decides these ties, not rounding
         for n, spec in ((20, (2, 5)), (40, (2, 5)), (40, (3, 3))):
             assert family_search(n, spec).winner["host_part"] == 0
+
+    def test_an_exact_tie_goes_to_fewer_edges(self, monkeypatch):
+        # a member with fewer edges that ties the best λ exactly is a
+        # maximizer too, and the verdict must see it: plant one
+        spec = FanSpec(2, 3)
+        real = oracle._member_lambda
+        best = max(
+            _family_members(20, spec, 2, DEFAULT_ENUM_CAP), key=lambda m: real(m, spec) or 0.0
+        )
+        planted = ((10, 10), "?", (), 0)
+        assert _member_edges(planted) < _member_edges(best) == 101
+
+        def tie(member, spec):
+            return real(best if member == planted else member, spec)
+
+        monkeypatch.setattr(oracle, "_member_lambda", tie)
+        rep = family_search(20, spec)
+        assert rep.winner["g0_graph6"] == "?" and rep.winner["edges"] == 100
+        assert rep.best_value == real(best, spec)
+        assert rep.matches_formula is False
+
+    def test_tie_at_3_3_n11_has_fewer_edges(self):
+        # `DLo` in the 5-vertex part and two triangles (`EJaG`) in the
+        # 6-vertex part share λ = 1 + √31 exactly, with 35 and 36 edges
+        rep = family_search(11, (3, 3))
+        assert rep.winner == {
+            "part_sizes": [6, 5],
+            "g0_graph6": "DLo",
+            "host_part": 1,
+            "edges": 35,
+            "lambda": pytest.approx(1 + math.sqrt(31), abs=1e-10),
+        }
+        theorem = verify_main_theorem(11, (3, 3))
+        assert (theorem.agrees, theorem.family_winner_edges, theorem.formula_edges) == (
+            False,
+            35,
+            36,
+        )
+        sympy = pytest.importorskip("sympy")
+        x = sympy.symbols("x")
+        for g0, host in (("DLo", 1), ("EJaG", 0)):
+            g = embed_in_part((6, 5), host, from_graph6(g0).edges())
+            adj = sympy.Matrix(11, 11, lambda u, v: int(g.has_edge(u, v)))
+            assert sympy.rem(adj.charpoly(x).as_expr(), x**2 - 2 * x - 30, x) == 0, g0
+
+    @pytest.mark.parametrize("spec, n_max", [((3, 3), 30), ((4, 3), 12)])
+    def test_verdict_covers_every_maximizer(self, spec, n_max, monkeypatch):
+        # `matches_formula` holds exactly when every member tying the best
+        # λ has the closed form's edge count; exact ties of different edge
+        # counts occur at (3,3) n = 7, 9, 11 and (4,3) n = 10
+        real = oracle._member_lambda
+        for n in range(2, n_max + 1):
+            lams = {}
+            monkeypatch.setattr(
+                oracle, "_member_lambda", lambda m, spec: lams.setdefault(m, real(m, spec))
+            )
+            rep = family_search(n, spec)
+            top = max(lam for lam in lams.values() if lam is not None)
+            tied = {_member_edges(m) for m, lam in lams.items() if lam == top}
+            assert rep.matches_formula == (tied == {rep.formula_value}), n
 
     def test_encodes_each_candidate_once(self, monkeypatch):
         # one graph6 per candidate, not one per (vector, host, candidate)

@@ -664,6 +664,11 @@ class TestPerronBound:
         with pytest.raises(ValueError):
             perron_entry_bound_check(Graph(4, [(0, 1)]), (1, 3))
 
+    def test_takes_no_tol(self):
+        # the solve's tol follows from the width of `long double`
+        with pytest.raises(TypeError):
+            perron_entry_bound_check(complete_graph(8), (1, 2), tol=1e-8)
+
     def test_structured_construction(self):
         g, _ = extremal_fan_graph(300, (2, 3))
         rep = perron_entry_bound_check(g, (2, 3))

@@ -1,4 +1,5 @@
-"""Closed-form extremal edge counts and their validity thresholds.
+"""Closed-form extremal edge counts and their validity thresholds, and the
+number of graphs on n vertices up to isomorphism.
 
 Values below a threshold are still computed (they are useful as conjectured
 targets for the brute-force oracle); the ``applicable`` flag records whether
@@ -7,7 +8,10 @@ the closed form is known to be exact at that order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from math import factorial, gcd, prod
+from typing import Iterator
 
 from .families import FanSpec, fanspec_of
 
@@ -33,6 +37,36 @@ def chvatal_hanson_f(beta: int, delta: int) -> int:
         return 0
     half_up = (delta + 1) // 2
     return delta * beta + (delta // 2) * (beta // half_up)
+
+
+def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n into parts of at most largest, parts descending."""
+    if n == 0:
+        yield ()
+        return
+    for a in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - a, a):
+            yield (a, *rest)
+
+
+def graph_count(n: int) -> int:
+    """The number of isomorphism classes of graphs on n vertices (OEIS
+    A000088), by Pólya's cycle-index count (Harary & Palmer, *Graphical
+    Enumeration*, 1973): by Burnside, the mean over the permutations of
+    [n] of 2^(cycles they induce on the vertex pairs), summed by cycle
+    type.  Cycles of lengths a and b give gcd(a, b) cycles of pairs, and
+    one cycle of length a gives a // 2 on its own pairs."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    total = 0
+    for parts in _partitions(n, n):
+        pair_cycles = sum(a // 2 for a in parts) + sum(
+            gcd(a, b) for i, a in enumerate(parts) for b in parts[i + 1 :]
+        )
+        # n! / z is the number of permutations of this cycle type
+        z = prod(a**m * factorial(m) for a, m in Counter(parts).items())
+        total += factorial(n) // z << pair_cycles
+    return total // factorial(n)
 
 
 @dataclass(frozen=True)

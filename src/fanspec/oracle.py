@@ -36,9 +36,25 @@ each checkpoint.
 Enumeration accepts an optional hereditary predicate (closed under vertex
 deletion, e.g. bounded degree + bounded matching); restricted to such a
 class it remains exactly-once: every member's deletion parent is again a
-member.  The invariant filter runs before the predicate, so the predicate
-sees fewer children.  That restriction is what makes the
-bounded-degree/bounded-matching edge maximum searchable at nine vertices.
+member.  The invariant filter runs before the predicate, and the
+predicate before any labeling, so it sees fewer children and a child it
+rejects is never labeled.  It sees each child as built, the parent's rows
+with the new vertex last, and every parent is a member, so a predicate may
+assume that the child less its last vertex satisfies it.  That
+restriction is what makes the bounded-degree/bounded-matching edge
+maximum searchable at nine vertices.
+
+`brute` walks the fan-free classes only: fan-freeness is hereditary, so
+it is the predicate of every level and of the scan.  A fan of a child
+P + w of a fan-free P uses w, as the centre or in a clique, so its centre
+lies in N[w], and `fan_free_through_last` tests only those centres.  A
+class that holds a fan is never built, nor is any class above it, since
+each of those holds the fan too.  `graphs_examined` is still the number of
+classes on n vertices, counted in closed form (`graph_count`), and the
+walk builds the fan-free ones among them: at n = 7 for (2,3) it builds 400
+children of 98 parents where the walk over every class built 1,044 of
+156, and it labels 328 graphs against 638 (at n = 8, 1,577 against
+5,660).
 
 `brute` in lambda mode scores only the fan-free children that can reach
 the best value, each by its exact λ, and its witnesses are the classes
@@ -70,7 +86,9 @@ class the worker skips is below the final best.  `brute` makes no float
 solve, so `ConvergenceError` comes only from a bracket still open after
 DEFAULT_MAX_ITERS steps.  At n = 7 the (2,3) scan brackets 77 of its 400
 fan-free classes and scores 8 of them, besides the floor's own bracket of
-T(7, 2); at n = 8 it brackets 108 of 2,290 and scores 8.
+T(7, 2); at n = 8 it brackets 108 of 2,290 and scores 8.  These counts are
+those of the walk over every class: each fan-free class has the same
+parent, and meets the same siblings before it, in both walks.
 
 Everything is deterministic: reports are identical regardless of worker
 count (partials merge by order-free reductions and witness lists sort by
@@ -92,7 +110,7 @@ from typing import Callable, Iterator, Sequence
 
 from .canon import CanonicalInfo, canonical_form, canonical_info
 from .families import FanSpec, embed_in_part, fanspec_of, turan_graph
-from .formulas import fan_extremal_number
+from .formulas import fan_extremal_number, graph_count
 from .graphs import (
     DENSE_KERNEL_LIMIT,
     Graph,
@@ -103,11 +121,16 @@ from .graphs import (
     permuted_rows,
     to_graph6,
 )
-from .patterns import clique_packing_number, contains_fan, matching_number
+from .patterns import (
+    clique_packing_number,
+    contains_fan,
+    fan_free_through_last,
+    matching_number,
+)
 from .spectral import exact_spectral_radius, spectral_radius
 
 DEFAULT_ENUM_CAP = 10
-# classes examined between two checkpoint saves of `brute_force_extremal`
+# classes built between two checkpoint saves of `brute_force_extremal`
 CHECKPOINT_CLASSES = 10**6
 
 
@@ -285,7 +308,13 @@ class _Report:
 @dataclass
 class ExtremalReport(_Report):
     """Outcome of an exhaustive search for extremal values; the closed form
-    (`formula_value`, `applicable`) is None below clique order 3."""
+    (`formula_value`, `applicable`) is None below clique order 3.
+
+    `graphs_examined` counts the classes the search covers.  For `brute`
+    that is every class on n vertices, by the cycle-index count
+    `graph_count(n)`: the walk builds the fan-free ones (`free_count`) and
+    rules out the rest by heredity, since a class with a fan never has a
+    fan-free one above it.  For `family` it is the number of members."""
 
     n: int
     k: int
@@ -330,25 +359,21 @@ def _walk_bound(rows: Rows) -> int:
 
 def _scan_extremal_parent(
     parent: ClassRep, spec: FanSpec, mode: str, floor: float
-) -> tuple[int, int, list[tuple[float | int, Rows]]]:
-    """Worker: the number of final-level children of one parent, the number
-    of them that are fan-free, and (value, rows) for each fan-free child it
-    scores, its rows as built: fan-freeness, edges and λ do not depend on
-    the labeling.  It scores every one in edges mode.  In lambda mode it
-    scores, in descending walk bound W, the children with √W at least
-    floor, each by its exact λ, and drops a child once its score is shown
-    below floor and below this parent's best score so far.
+) -> tuple[int, list[tuple[float | int, Rows]]]:
+    """Worker: the number of final-level children of one fan-free parent,
+    all of them fan-free, and (value, rows) for each child it scores, its
+    rows as built: fan-freeness, edges and λ do not depend on the labeling.
+    It scores every one in edges mode.  In lambda mode it scores, in
+    descending walk bound W, the children with √W at least floor, each by
+    its exact λ, and drops a child once its score is shown below floor and
+    below this parent's best score so far.
 
     The augmentation acceptance test is exactly-once per isomorphism class
-    across all parents, so the parents partition the class space."""
-    children = _children_of_parent_aug(parent, None)
-    free = [
-        crows
-        for crows, _ in children
-        if contains_fan(Graph._from_rows_unchecked(crows), spec) is None
-    ]
+    across all parents, so the parents partition the fan-free classes."""
+    fan_free = partial(fan_free_through_last, spec=spec)
+    free = [crows for crows, _ in _children_of_parent_aug(parent, fan_free)]
     if mode == "edges":
-        return len(children), len(free), [(_edge_count(crows), crows) for crows in free]
+        return len(free), [(_edge_count(crows), crows) for crows in free]
     bounded = [(w, crows) for crows in free if math.sqrt(w := _walk_bound(crows)) >= floor]
     bounded.sort(key=itemgetter(0), reverse=True)
     scored = []
@@ -358,7 +383,7 @@ def _scan_extremal_parent(
         if lam is not None:
             scored.append((lam, crows))
             best = max(best, lam)
-    return len(children), len(free), scored
+    return len(free), scored
 
 
 def _serve(fn, tasks: Sequence, fd: int, inherited) -> None:
@@ -473,14 +498,14 @@ def brute_force_extremal(
     isomorphism class on n vertices, with all achieving witnesses.
 
     With a checkpoint path, a file already there is resumed when its key
-    (n, k, r, mode, acceptance rule) is this run's, and is otherwise a
+    (n, k, r, mode, acceptance rule, walk) is this run's, and is otherwise a
     ValueError, and never written; only the cursor's upper bound, the
-    number of parents, is checked after the levels are built.  The state is
-    saved after each parent that brings the classes examined since the last
-    save to CHECKPOINT_CLASSES.  Results reach the merge one parent at a
-    time at every job count, so a save can follow any parent, and a kill
-    loses only the parents after the last save, with whatever the workers
-    finished ahead of the merge."""
+    number of fan-free parents, is checked after the levels are built.  The
+    state is saved after each parent that brings the classes built since
+    the last save to CHECKPOINT_CLASSES.  Results reach the merge one
+    parent at a time at every job count, so a save can follow any parent,
+    and a kill loses only the parents after the last save, with whatever
+    the workers finished ahead of the merge."""
     spec = fanspec_of(spec)
     if mode not in ("edges", "lambda"):
         raise ValueError("mode must be 'edges' or 'lambda'")
@@ -493,7 +518,6 @@ def brute_force_extremal(
     t0 = time.monotonic()
 
     start = 0
-    examined = 0
     free = 0
     best: float | int | None = None
     # the fan-free classes that score `best`, as built: only a checkpoint
@@ -509,8 +533,11 @@ def brute_force_extremal(
         # the acceptance rule decides which parent emits each class, so a
         # parent cursor means nothing under another rule
         "deletion_vertex": "max-invariant",
+        # the parents are the fan-free classes on n − 1 vertices; a cursor
+        # over all classes belongs to another walk
+        "walk": "fan-free",
     }
-    progress = ("parent_cursor", "examined", "free", "best", "cands")
+    progress = ("parent_cursor", "free", "best", "cands")
     if checkpoint_path and os.path.exists(checkpoint_path):
         with open(checkpoint_path) as fh:
             state = json.load(fh)
@@ -521,13 +548,12 @@ def brute_force_extremal(
             or {k: state[k] for k in ckpt_key} != ckpt_key
         ):
             raise ValueError("checkpoint does not match this run's parameters")
-        start, examined, free, best, cands = (state[k] for k in progress)
+        start, free, best, cands = (state[k] for k in progress)
         if not (
             _is_int(start)
             and start >= 0
-            and _is_int(examined)
             and _is_int(free)
-            and 0 <= free <= examined
+            and free >= 0
             # an int is finite, and math.isfinite overflows on a huge one
             and (best is None or _is_int(best) or isinstance(best, float) and math.isfinite(best))
             and isinstance(cands, list)
@@ -537,7 +563,8 @@ def brute_force_extremal(
             raise ValueError("checkpoint progress is malformed")
         cands = [from_graph6(s).rows for s in cands]
 
-    for _, parents in _levels(n - 1):
+    fan_free = partial(fan_free_through_last, spec=spec)
+    for _, parents in _levels(n - 1, fan_free):
         pass
     if start > len(parents):
         raise ValueError("checkpoint progress is malformed")
@@ -549,9 +576,8 @@ def brute_force_extremal(
     scan = partial(_scan_extremal_parent, spec=spec, mode=mode, floor=floor)
     # closed here, not when the frame goes, so a failed save stops the workers
     with contextlib.closing(_map(scan, parents[start:], jobs)) as results:
-        for cursor, (count, count_free, scored) in enumerate(results, start + 1):
-            examined += count
-            free += count_free
+        for cursor, (count, scored) in enumerate(results, start + 1):
+            free += count
             for value, crows in scored:
                 if best is None or value > best:
                     best, cands = value, []
@@ -561,7 +587,7 @@ def brute_force_extremal(
             if checkpoint_path and since_ckpt >= CHECKPOINT_CLASSES:
                 since_ckpt = 0
                 state = dict(ckpt_key)
-                state.update(zip(progress, (cursor, examined, free, best, _graph6_of(cands))))
+                state.update(zip(progress, (cursor, free, best, _graph6_of(cands))))
                 _write_json_atomic(checkpoint_path, state)
 
     witnesses = tuple(sorted(_graph6_of(cands)))
@@ -582,7 +608,7 @@ def brute_force_extremal(
         applicable=applicable,
         matches_formula=matches,
         witnesses=witnesses,
-        graphs_examined=examined,
+        graphs_examined=graph_count(n),
         free_count=free,
         wall_seconds=time.monotonic() - t0,
     )

@@ -240,28 +240,51 @@ def _scan_centers(g: Graph, degs: Sequence[int], k: int, r: int) -> FanWitness |
     """The center scan of ``contains_fan`` on a dense graph, ordered by
     (-degs[v], v); `degs` may exceed the degrees in `g` (the degrees in the
     graph `g` was reduced from)."""
-    need = k * (r - 1)
-    inner_deg = r - 2
     for v in sorted(range(g.n), key=lambda u: (-degs[u], u)):
-        if degs[v] < need:
+        if degs[v] < k * (r - 1):
             break
-        nbrs = g.rows[v]
-        # a vertex of an (r-1)-clique inside the neighborhood has r - 2
-        # neighbors there, so the packing lives on the vertices that do
-        active = 0
-        rest = nbrs
-        while rest:
-            low = rest & -rest
-            if (g.rows[low.bit_length() - 1] & nbrs).bit_count() >= inner_deg:
-                active |= low
-            rest ^= low
-        if active.bit_count() < need:
-            continue
-        value, masks = _packing_search(g.rows, active, r - 1, k)
-        if value >= k:
-            assert masks is not None
-            return FanWitness(v, tuple(frozenset(_mask_bits(m)) for m in masks[:k]))
+        masks = _fan_at(g.rows, v, k, r)
+        if masks is not None:
+            return FanWitness(v, tuple(frozenset(_mask_bits(m)) for m in masks))
     return None
+
+
+def _fan_at(rows: tuple[int, ...], v: int, k: int, r: int) -> list[int] | None:
+    """The cliques of a fan centred at v, as k disjoint (r-1)-clique masks
+    inside v's neighborhood, or None if v centres no fan."""
+    need = k * (r - 1)
+    nbrs = rows[v]
+    # a vertex of an (r-1)-clique inside the neighborhood has r - 2
+    # neighbors there, so the packing lives on the vertices that do
+    active = 0
+    rest = nbrs
+    while rest:
+        low = rest & -rest
+        if (rows[low.bit_length() - 1] & nbrs).bit_count() >= r - 2:
+            active |= low
+        rest ^= low
+    if active.bit_count() < need:
+        return None
+    value, masks = _packing_search(rows, active, r - 1, k)
+    if value < k:
+        return None
+    assert masks is not None
+    return masks[:k]
+
+
+def fan_free_through_last(g: Graph, spec: FanSpec) -> bool:
+    """Whether g is F_{k,r}-free, given that g less its last vertex w is.
+    Any fan of g then uses w, as a clique vertex or as the centre, so its
+    centre lies in N[w]: only those centres are tested, each by the packing
+    test of ``contains_fan``."""
+    rows = g.rows
+    w = g.n - 1
+    k, r = spec.k, spec.r
+    need = k * (r - 1)
+    return not any(
+        rows[v].bit_count() >= need and _fan_at(rows, v, k, r) is not None
+        for v in _mask_bits(rows[w] | 1 << w)
+    )
 
 
 @dataclass(frozen=True)

@@ -41,8 +41,8 @@ def run_cli(args, stdin=None, timeout=None):
 # a checkpoint of `brute --n 5 --k 1 --r 3` before its first parent
 BRUTE5_CHECKPOINT = {
     "kind": "brute", "n": 5, "k": 1, "r": 3, "mode": "edges",
-    "deletion_vertex": "max-invariant",
-    "parent_cursor": 0, "examined": 0, "free": 0, "best": None, "cands": [],
+    "deletion_vertex": "max-invariant", "walk": "fan-free",
+    "parent_cursor": 0, "free": 0, "best": None, "cands": [],
 }
 
 
@@ -297,6 +297,17 @@ class TestReports:
              '{"n": 5, "k": 1, "r": 2, "mode": "edges", "best_value": 0, "formula_value": null, '
              '"applicable": null, "matches_formula": null, "witnesses": ["D??"], '
              '"graphs_examined": 34, "free_count": 1, "wall_seconds": null}'),
+            (["brute", "--n", "7", "--k", "2", "--r", "3", "--mode", "lambda", "--no-timing"], 0,
+             ExtremalReport,
+             '{"n": 7, "k": 2, "r": 3, "mode": "lambda", "best_value": 3.84821707759, '
+             '"formula_value": 13, "applicable": false, "matches_formula": true, '
+             '"witnesses": ["F?~vg"], "graphs_examined": 1044, "free_count": 400, '
+             '"wall_seconds": null}'),
+            (["brute", "--n", "7", "--k", "3", "--r", "3", "--mode", "edges", "--no-timing"], 0,
+             ExtremalReport,
+             '{"n": 7, "k": 3, "r": 3, "mode": "edges", "best_value": 17, "formula_value": 18, '
+             '"applicable": false, "matches_formula": false, "witnesses": ["FNz~o"], '
+             '"graphs_examined": 1044, "free_count": 943, "wall_seconds": null}'),
             (["brutef", "--beta", "2", "--delta", "2", "--nmax", "6", "--no-timing"], 0,
              BoundedEdgeReport,
              '{"beta": 2, "delta": 2, "n_max": 6, "value": 6, "graphs_examined": 40, '
@@ -317,8 +328,8 @@ class TestReports:
             (["check", "--k", "2", "--r", "3", "--witness", "--g6", "D~{"], 1, FanWitness,
              '{"contains": true, "witness": {"center": 0, "cliques": [[1, 2], [3, 4]]}}'),
         ],
-        ids=["brute-edges", "brute-lambda", "brute-r2", "brutef", "family", "verify",
-             "turannum", "check-witness"],
+        ids=["brute-edges", "brute-lambda", "brute-r2", "brute7-lambda", "brute7-k3-edges",
+             "brutef", "family", "verify", "turannum", "check-witness"],
     )
     def test_report_bytes_are_pinned(self, capsys, argv, code, record, line):
         # each line is a record's fields, in order, byte for byte; `check`
@@ -453,11 +464,15 @@ class TestHelpAndErrors:
             resume_brute5(parent_cursor="1"),
             resume_brute5(parent_cursor=True),
             resume_brute5(parent_cursor=-1),
-            resume_brute5(parent_cursor=12),  # 11 classes on 4 vertices
+            resume_brute5(parent_cursor=12),  # 7 triangle-free classes on 4 vertices
+            resume_brute5(parent_cursor=8),
+            # a count of all classes examined is the all-class walk's format
             resume_brute5(parent_cursor=1000000, examined=-5),
             resume_brute5(examined=-5),
             resume_brute5(examined=2, free=3),
             resume_brute5(examined=2.0),
+            resume_brute5(free=-5),
+            resume_brute5(free=2.0),
             resume_brute5(best="7"),
             resume_brute5(best=float("nan")),
             resume_brute5(cands={"DF{": 7}, best=7),

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -38,6 +39,8 @@ import fanspec.canon as canon
 import fanspec.oracle as oracle
 from fanspec.canon import canonical_info, orbits_from_perms, permuted_rows
 from fanspec.families import embed_in_part
+from fanspec.formulas import graph_count
+from fanspec.patterns import fan_free_through_last
 from fanspec.spectral import exact_spectral_radius
 from fanspec.oracle import (
     DEFAULT_ENUM_CAP,
@@ -81,6 +84,16 @@ def levels_by_last_label(n_max, pred=None):
     for size in range(1, n_max + 1):
         level = sorted(c for rows in level for c in children_by_last_label(rows, pred))
         yield size, level
+
+
+def fan_free_pred(spec):
+    """The predicate of `brute`'s walk for spec."""
+    return partial(fan_free_through_last, spec=FanSpec(*spec))
+
+
+def fan_free_levels(n_max, spec):
+    """The levels that `brute` walks for spec: its fan-free classes."""
+    return _levels(n_max, fan_free_pred(spec))
 
 
 def count_labelings(monkeypatch):
@@ -240,7 +253,7 @@ class TestBruteForceExtremal:
             def stub(parent, **kwargs):
                 scored = [] if calls else planted
                 calls.append(parent)
-                return 1, len(scored), scored
+                return len(scored), scored
 
             monkeypatch.setattr(oracle, "_scan_extremal_parent", stub)
             rep = brute_force_extremal(5, (1, 3), "lambda")
@@ -260,11 +273,12 @@ class TestBruteForceExtremal:
 
     def test_labels_only_what_acceptance_and_witnesses_need(self, monkeypatch):
         # a count, not a timing: the last level's children whose new vertex
-        # alone has the top invariant go unlabeled, and the merge labels only
-        # the witnesses it reports
+        # alone has the top invariant go unlabeled, the merge labels only
+        # the witnesses it reports, and the walk labels no class that holds
+        # a fan (638 labelings when it built every class)
         calls = count_labelings(monkeypatch)
         brute_force_extremal(7, (2, 3), "lambda")
-        assert calls[0] == 638
+        assert calls[0] == 328
 
     def test_checkpoint_resume(self, tmp_path, monkeypatch):
         import fanspec.oracle as om
@@ -294,8 +308,8 @@ class TestBruteForceExtremal:
 
     def test_checkpoint_can_follow_every_parent_at_two_jobs(self, tmp_path, monkeypatch):
         # results arrive one parent at a time at every job count, so a save
-        # can follow any parent and a kill loses only what the workers
-        # finished ahead of the merge
+        # can follow any parent that builds a class, and a kill loses only
+        # what the workers finished ahead of the merge
         real = oracle._write_json_atomic
         cursors = []
 
@@ -308,10 +322,14 @@ class TestBruteForceExtremal:
         clean = brute_force_extremal(6, (1, 3), "edges").to_json(timing=False)
         ckpt = str(tmp_path / "state.json")
         rep = brute_force_extremal(6, (1, 3), "edges", jobs=2, checkpoint_path=ckpt)
-        assert cursors == list(range(1, 35))  # every class on 5 vertices
+        # the 14 triangle-free classes on 5 vertices; the 13th has no
+        # triangle-free child that the acceptance rule gives it
+        *_, (_, parents) = fan_free_levels(5, (1, 3))
+        built = [len(_children_of_parent_aug(p, fan_free_pred((1, 3)))) for p in parents]
+        assert cursors == [c for c, count in enumerate(built, 1) if count] == [*range(1, 13), 14]
         assert rep.to_json(timing=False) == clean
         with open(ckpt) as fh:
-            assert json.load(fh)["parent_cursor"] == 34
+            assert json.load(fh)["parent_cursor"] == 14
 
     def test_a_failed_save_at_two_jobs_leaves_no_child(self, tmp_path, monkeypatch):
         # the error's traceback holds the merge's frame, and with it the map
@@ -426,11 +444,11 @@ class TestBruteForceExtremal:
         # an int is finite however large, and converting it for math.isfinite
         # would raise OverflowError, a traceback at the command line
         ckpt = tmp_path / "state.json"
-        parents = list(_levels(4))[4][1]
+        parents = list(fan_free_levels(4, (1, 3)))[4][1]
         state = {
             "kind": "brute", "n": 5, "k": 1, "r": 3, "mode": "edges",
-            "deletion_vertex": "max-invariant",
-            "parent_cursor": len(parents), "examined": 34, "free": 14,
+            "deletion_vertex": "max-invariant", "walk": "fan-free",
+            "parent_cursor": len(parents), "free": 14,
             "best": 10**400, "cands": ["D??"],
         }
         ckpt.write_text(json.dumps(state))
@@ -448,6 +466,33 @@ class TestBruteForceExtremal:
         ckpt.write_text(json.dumps(state))
         with pytest.raises(ValueError):
             brute_force_extremal(6, (1, 3), "edges", checkpoint_path=str(ckpt))
+
+    # a checkpoint of `brute --n 7 --k 2 --r 3 --mode lambda` written by the
+    # walk over all classes: its cursor counts all 156 classes on 6 vertices
+    ALL_CLASS_CHECKPOINT = (
+        '{"kind": "brute", "n": 7, "k": 2, "r": 3, "mode": "lambda", '
+        '"deletion_vertex": "max-invariant", "parent_cursor": 77, "examined": 705, '
+        '"free": 350, "best": 3.7015621187164243, "cands": ["F?B~w"]}'
+    )
+
+    def test_an_all_class_checkpoint_is_exit_2_and_kept(self, tmp_path, capsys, monkeypatch):
+        # resumed, its cursor would skip 77 of the 98 fan-free parents; it is
+        # rejected before any enumeration, and never written over
+        def enumerate_nothing(*args, **kwargs):
+            raise AssertionError("enumerated before checking the checkpoint")
+
+        monkeypatch.setattr(oracle, "_levels", enumerate_nothing)
+        monkeypatch.setattr(oracle, "CHECKPOINT_CLASSES", 1)
+        ckpt = tmp_path / "state.json"
+        ckpt.write_text(self.ALL_CLASS_CHECKPOINT)
+        argv = ["brute", "--n", "7", "--k", "2", "--r", "3", "--mode", "lambda",
+                "--checkpoint", str(ckpt)]
+        for jobs in ("1", "2"):
+            assert cli.main([*argv, "--jobs", jobs]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "does not match" in err
+            assert ckpt.read_text() == self.ALL_CLASS_CHECKPOINT
+        assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
 
     def test_a_matching_checkpoint_resumes_by_itself(self, tmp_path, monkeypatch):
         # the file at the checkpoint path is the run's own: the scan takes
@@ -471,7 +516,7 @@ class TestBruteForceExtremal:
 
         monkeypatch.setattr(oracle, "_map", spy)
         rep = brute_force_extremal(6, (1, 3), "edges", checkpoint_path=str(ckpt))
-        assert tasks == list(_levels(5))[5][1][10:]
+        assert tasks == list(fan_free_levels(5, (1, 3)))[5][1][10:]
         assert rep.to_json(timing=False) == clean
 
     def test_a_foreign_checkpoint_is_rejected_unread_by_the_levels_and_kept(
@@ -485,14 +530,15 @@ class TestBruteForceExtremal:
         monkeypatch.setattr(oracle, "_levels", enumerate_nothing)
         own = {
             "kind": "brute", "n": 5, "k": 1, "r": 3, "mode": "edges",
-            "deletion_vertex": "max-invariant",
-            "parent_cursor": 0, "examined": 0, "free": 0, "best": None, "cands": [],
+            "deletion_vertex": "max-invariant", "walk": "fan-free",
+            "parent_cursor": 0, "free": 0, "best": None, "cands": [],
         }
         ckpt = tmp_path / "state.json"
         for text in (
             json.dumps({**own, "k": 2}),
             json.dumps({**own, "mode": "lambda"}),
-            json.dumps({**own, "examined": -5}),
+            json.dumps({**own, "free": -5}),
+            json.dumps({**own, "free": 2.0}),
             json.dumps({**own, "best": 7}),
             json.dumps([own]),
             "{\"kind\": \"brute\"",
@@ -514,23 +560,23 @@ class TestBruteForceExtremal:
 
 
 def scan_solving_every_child(parent, spec, mode, floor):
-    """The brute worker without the walk bound: every fan-free child is
+    """The brute worker without the walk bound or the new-vertex fan test:
+    every child is checked by `contains_fan`, and every fan-free one is
     scored, as before the bound, whatever floor says."""
-    children = _children_of_parent_aug(parent, None)
     scored = []
-    for crows, _ in children:
+    for crows, _ in _children_of_parent_aug(parent, None):
         g = Graph._from_rows_unchecked(crows)
         if contains_fan(g, spec) is None:
             value = g.edge_count if mode == "edges" else spectral_radius(g).lam
             scored.append((value, crows))
-    return len(children), len(scored), scored
+    return len(scored), scored
 
 
 def scan_with_float_solves(parent, spec, mode, floor):
     """The brute worker before exact scores: a float solve of each fan-free
     child whose walk bound W has √W at least floor."""
-    count, free, scored = scan_solving_every_child(parent, spec, mode, floor)
-    return count, free, [(v, c) for v, c in scored if math.sqrt(_walk_bound(c)) >= floor]
+    free, scored = scan_solving_every_child(parent, spec, mode, floor)
+    return free, [(v, c) for v, c in scored if math.sqrt(_walk_bound(c)) >= floor]
 
 
 class TestWalkBound:
@@ -632,8 +678,11 @@ class TestWalkBound:
             monkeypatch.setattr(oracle, "_scan_extremal_parent", worker)
             brute_force_extremal(7, spec, "lambda", checkpoint_path=str(ckpt))
         monkeypatch.setattr(oracle, "_write_json_atomic", real_write)
-        levels = list(_levels(6))
-        assert {s["parent_cursor"] for s in states.values()} == set(range(1, len(levels[6][1]) + 1))
+        levels = list(fan_free_levels(6, spec))
+        # a save follows every parent that builds a class
+        fan_free = fan_free_pred(spec)
+        builds = [i for i, p in enumerate(levels[6][1], 1) if _children_of_parent_aug(p, fan_free)]
+        assert {s["parent_cursor"] for s in states.values()} == set(builds)
         monkeypatch.setattr(oracle, "_levels", lambda n_max, pred=None: iter(levels[: n_max + 1]))
         scans = {}
 
@@ -647,6 +696,48 @@ class TestWalkBound:
             ckpt.write_text(text)
             resumed = brute_force_extremal(7, spec, "lambda", checkpoint_path=str(ckpt))
             assert resumed.to_json(timing=False) == clean, text
+
+
+@pytest.fixture(scope="module")
+def all_classes():
+    """Every class on n vertices, n = 0..8, from the enumeration."""
+    return {n: list(enumerate_graphs(n)) for n in range(9)}
+
+
+class TestAllClassWalk:
+    """`brute` builds only the fan-free classes and counts the others in
+    closed form.  The slow oracle enumerates every class, then filters by
+    `contains_fan` and scores each fan-free one."""
+
+    # OEIS A000088
+    GRAPHS_ON_N = [1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168]
+
+    def test_graph_count_by_cycle_index(self, all_classes):
+        assert [graph_count(n) for n in range(11)] == self.GRAPHS_ON_N
+        for n, classes in all_classes.items():
+            assert graph_count(n) == len(classes), n
+        with pytest.raises(ValueError):
+            graph_count(-1)
+
+    @pytest.mark.parametrize("mode", ["edges", "lambda"])
+    @pytest.mark.parametrize("spec", [(2, 3), (3, 3), (2, 4)])
+    def test_brute_is_the_filtered_all_class_walk(self, spec, mode, all_classes):
+        for n in range(1, 9):
+            rep = brute_force_extremal(n, spec, mode)
+            # a λ bracket stops (None) once it is below the reported best, so
+            # the max of the others is the best exactly when the report is right
+            scores = {
+                to_graph6(g): g.edge_count
+                if mode == "edges"
+                else exact_spectral_radius(g, rep.best_value)
+                for g in all_classes[n]
+                if contains_fan(g, spec) is None
+            }
+            best = max(v for v in scores.values() if v is not None)
+            assert rep.graphs_examined == len(all_classes[n]), n
+            assert rep.free_count == len(scores), n
+            assert rep.best_value == best, n
+            assert rep.witnesses == tuple(sorted(s for s, v in scores.items() if v == best)), n
 
 
 def no_child_left() -> bool:
@@ -716,7 +807,7 @@ class TestMap:
 # caller caught, then the CLI's exit code at two jobs.  argv[1] names the
 # search.
 CONVERGENCE_PROBE = """
-import contextlib, io, json, math, os, sys
+import contextlib, functools, io, json, math, os, sys
 from fanspec import FanSpec, cli, oracle, turan_graph
 from fanspec.spectral import ConvergenceError, SpectrumResult
 
@@ -740,7 +831,8 @@ if sys.argv[1] == "family":
     argv = ["family", "--n", "30", "--k", "2", "--r", "3", "--jobs", "2"]
 else:
     # the first graph that a worker's parent brackets, at n = 6
-    *_, (_, parents) = oracle._levels(5)
+    fan_free = functools.partial(oracle.fan_free_through_last, spec=spec)
+    *_, (_, parents) = oracle._levels(5, fan_free)
     real = oracle.exact_spectral_radius
     floor = real(turan_graph(6, 2))
     bracketed = []

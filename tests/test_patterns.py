@@ -6,6 +6,7 @@ from itertools import combinations, permutations
 import pytest
 
 from fanspec import (
+    FanSpec,
     Graph,
     StructuredGraph,
     check_partition_inequality,
@@ -25,7 +26,7 @@ from fanspec import (
 )
 from fanspec.families import _g0_patch, balanced_sizes
 from fanspec.graphs import consecutive_partition
-from fanspec.patterns import _scan_centers
+from fanspec.patterns import _scan_centers, fan_free_through_last
 from fanspec.spectral import signless_laplacian_spectrum
 
 
@@ -275,6 +276,40 @@ class TestContainsFan:
                 w.validate(g)
 
         agrees()
+
+
+class TestFanFreeThroughLast:
+    """`brute` builds a child P + w of a fan-free P and tests it for a fan
+    only at the centres in N[w]; that must agree with the full detector."""
+
+    @pytest.mark.parametrize("spec", [(1, 3), (2, 3), (3, 3), (2, 4), (2, 2), (3, 2)])
+    def test_agrees_with_contains_fan(self, spec):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        found = []
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(data=st.data())
+        def agrees(data):
+            # any fan-free P on at most 9 vertices: its edges in any order,
+            # each kept while P stays fan-free, as every subgraph of P is
+            n = data.draw(st.integers(0, 9))
+            order = data.draw(st.permutations(list(combinations(range(n), 2))))
+            tried = order[: data.draw(st.integers(0, len(order)))]
+            p = Graph(n)
+            for u, v in tried:
+                bigger = Graph.from_rows(
+                    [row | (i == u) << v | (i == v) << u for i, row in enumerate(p.rows)]
+                )
+                if contains_fan(bigger, spec) is None:
+                    p = bigger
+            child = p.add_vertex(data.draw(st.integers(0, (1 << n) - 1)))
+            free = contains_fan(child, spec) is None
+            assert fan_free_through_last(child, FanSpec(*spec)) == free
+            found.append(free)
+
+        agrees()
+        assert not all(found) and any(found)
 
 
 def structured_hosts():

@@ -6,13 +6,15 @@ meaning the pattern was found, 2 bad arguments, 3 computation failure
 (e.g. the eigen-residual did not meet tolerance).
 
 Graphs come from graph6 strings (argument, file, or newline-separated
-stdin) or from the constructor mini-language:
+stdin) or from the constructor mini-language, the one way to name a built
+graph (`construct SPEC` prints a spec's graph as graph6):
 
     turan:n,p  multipartite:a,b,c  fan:k,r  extremal:n,k,r[,part]
     split:n,k  ch:k
 
-All floating output uses 12 significant digits.  FANSPEC_MAX_N raises the
-enumeration cap for brute-force runs.
+`family` and `verify` take n, k and r and nothing else that changes their
+report.  All floating output uses 12 significant digits.  FANSPEC_MAX_N
+raises the enumeration cap of the brute-force runs, `brute` and `brutef`.
 """
 
 from __future__ import annotations
@@ -115,9 +117,7 @@ def _emit(args, text: str) -> None:
 
 
 def _cmd_construct(args) -> int:
-    values = (getattr(args, name) for name in args.spec_args)
-    spec = f"{args.family}:" + ",".join(str(v) for v in values if v is not None)
-    print(to_graph6(parse_construct_spec(spec)))
+    print(to_graph6(parse_construct_spec(args.spec)))
     return 0
 
 
@@ -136,6 +136,8 @@ def _cmd_lambda(args) -> int:
     if args.sweep:
         if args.g6 is not None or args.file is not None:
             raise ValueError("give exactly one graph source")
+        if args.raw or args.vector:
+            raise ValueError("--sweep prints CSV and takes neither --raw nor --vector")
         if not args.construct or "{n}" not in args.construct:
             raise ValueError("--sweep needs --construct with an {n} placeholder")
         var, rng = _parse_sweep(args.sweep)
@@ -168,11 +170,19 @@ def _run_spectrum(g: AnyGraph, args):
 
 def _cmd_charpoly(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
-    xf = float(args.x)
-    if not math.isfinite(xf):
-        raise ValueError(f"--x must be finite, not {args.x}")
-    x: float | int = int(xf) if xf.is_integer() else xf
-    value = multipartite_charpoly_eval(sizes, x)
+    try:  # an integer literal is evaluated exactly, not through a float
+        x: float | int = int(args.x)
+    except ValueError:
+        xf = float(args.x)
+        if not math.isfinite(xf):
+            raise ValueError(f"--x must be finite, not {args.x}") from None
+        x = int(xf) if xf.is_integer() else xf
+    try:
+        value = multipartite_charpoly_eval(sizes, x)
+    except OverflowError:
+        value = math.inf
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"the value at x={x} overflows a float; give an integer x, which is exact")
     if args.raw:
         print(value if isinstance(value, int) else fmt12(value))
     else:
@@ -234,14 +244,7 @@ def _cmd_brutef(args) -> int:
 def _cmd_family(args) -> int:
     """`family`, or `verify` when args.theorem is set."""
     search = verify_main_theorem if args.theorem else family_search
-    report = search(
-        args.n,
-        (args.k, args.r),
-        args.imbalance,
-        jobs=args.jobs,
-        cap=_enum_cap(),
-    )
-    return _report(args, report)
+    return _report(args, search(args.n, (args.k, args.r), jobs=args.jobs))
 
 
 def _add_graph_source(p: argparse.ArgumentParser) -> None:
@@ -284,33 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    pc = sub.add_parser("construct", help="emit a named family graph as graph6")
-    fam = pc.add_subparsers(dest="family", required=True)
-    # each family's options, in the argument order of its constructor spec
-    f = fam.add_parser("turan", help="balanced complete p-partite graph")
-    f.add_argument("--n", type=int, required=True)
-    f.add_argument("--p", type=int, required=True)
-    f.set_defaults(spec_args=("n", "p"))
-    f = fam.add_parser("multipartite", help="complete multipartite graph")
-    f.add_argument("--sizes", required=True, help="comma-separated part sizes")
-    f.set_defaults(spec_args=("sizes",))
-    f = fam.add_parser("fan", help="k cliques of order r sharing one vertex")
-    f.add_argument("--k", type=int, required=True)
-    f.add_argument("--r", type=int, required=True)
-    f.set_defaults(spec_args=("k", "r"))
-    f = fam.add_parser("extremal", help="Turan host with embedded extremal patch")
-    f.add_argument("--n", type=int, required=True)
-    f.add_argument("--k", type=int, required=True)
-    f.add_argument("--r", type=int, required=True)
-    f.add_argument("--part", type=int, default=None, help="host part index")
-    f.set_defaults(spec_args=("n", "k", "r", "part"))
-    f = fam.add_parser("split", help="clique joined to an independent set")
-    f.add_argument("--n", type=int, required=True)
-    f.add_argument("--k", type=int, required=True)
-    f.set_defaults(spec_args=("n", "k"))
-    f = fam.add_parser("ch", help="bounded-degree bounded-matching maximizer")
-    f.add_argument("--k", type=int, required=True)
-    f.set_defaults(spec_args=("k",))
+    pc = sub.add_parser("construct", help="emit a constructor spec's graph as graph6")
+    pc.add_argument("spec", help="constructor spec, e.g. turan:5,2 or extremal:20,2,3")
     pc.set_defaults(func=_cmd_construct)
 
     for name, what, vector, signless in (
@@ -359,9 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("family", "structured family spectral search", False),
         ("verify", "family winner vs closed-form edge count", True),
     ):
-        pm = _add_search(sub, name, what, _cmd_family, "n", "k", "r")
-        pm.add_argument("--imbalance", type=int, default=2)
-        pm.set_defaults(theorem=theorem)
+        _add_search(sub, name, what, _cmd_family, "n", "k", "r").set_defaults(theorem=theorem)
 
     return top
 

@@ -130,6 +130,8 @@ from .patterns import (
 from .spectral import exact_spectral_radius, spectral_radius
 
 DEFAULT_ENUM_CAP = 10
+# the family's part sizes differ by at most this much
+MAX_IMBALANCE = 2
 # classes built between two checkpoint saves of `brute_force_extremal`
 CHECKPOINT_CLASSES = 10**6
 
@@ -695,11 +697,11 @@ class G0Candidate:
     matching: int
 
 
-def g0_candidates(k: int, cap: int = DEFAULT_ENUM_CAP) -> list[G0Candidate]:
+def g0_candidates(k: int) -> list[G0Candidate]:
     """All isomorphism classes on at most 2k non-isolated vertices with max
     degree <= k-1 and matching number <= k-1, including the empty graph."""
-    if 2 * k > cap:
-        raise EnumerationCapError(f"2k={2 * k} exceeds the enumeration cap {cap}")
+    if 2 * k > DEFAULT_ENUM_CAP:
+        raise EnumerationCapError(f"2k={2 * k} exceeds the enumeration cap {DEFAULT_ENUM_CAP}")
     pred = _bounded_pred(k - 1, k - 1)
     out = [G0Candidate(Graph(0), 0, 0)]
     for size, level in _levels(2 * k, pred):
@@ -732,18 +734,18 @@ def _part_size_vectors(n: int, parts: int, max_imbalance: int) -> list[tuple[int
 Member = tuple[tuple[int, ...], str, tuple[tuple[int, int], ...], int]
 
 
-def _family_members(n: int, spec: FanSpec, max_imbalance: int, cap: int) -> list[Member]:
-    """Every near-balanced part-size vector x every g0 candidate x every
-    host part that can hold it."""
-    vectors = _part_size_vectors(n, spec.r - 1, max_imbalance)
+def _family_members(n: int, spec: FanSpec) -> list[Member]:
+    """Every part-size vector within MAX_IMBALANCE x every g0 candidate x
+    every host part that can hold it."""
+    vectors = _part_size_vectors(n, spec.r - 1, MAX_IMBALANCE)
     if not vectors:
         raise ValueError(
             f"no part sizes for n={n} in {spec.r - 1} parts with imbalance "
-            f"at most {max_imbalance}"
+            f"at most {MAX_IMBALANCE}"
         )
     candidates = [
         (to_graph6(cand.graph), tuple(cand.graph.edges()), cand.graph.n)
-        for cand in g0_candidates(spec.k, cap=cap)
+        for cand in g0_candidates(spec.k)
     ]
     return [
         (sizes, g0_g6, g0_edges, host)
@@ -770,27 +772,24 @@ def _member_lambda(member: Member, spec: FanSpec) -> float | None:
 
 
 def family_search(
-    n: int,
-    spec: FanSpec | tuple[int, int],
-    max_imbalance: int = 2,
-    *,
-    jobs: int = 1,
-    cap: int = DEFAULT_ENUM_CAP,
+    n: int, spec: FanSpec | tuple[int, int], *, jobs: int = 1
 ) -> FamilyReport:
     """Maximize the spectral radius over the structured family: every
-    near-balanced part-size vector x every embeddable bounded graph x every
-    host part, keeping only members the detector certifies fan-free.  Of
-    the members with exactly the best λ the winner has the fewest edges.  No
-    member has more edges than the closed form, so `matches_formula` holds
-    exactly when every maximizer in the family has the closed form's count.
+    part-size vector of n into r - 1 parts whose sizes differ by at most
+    MAX_IMBALANCE x every embeddable bounded graph (`g0_candidates(k)`) x
+    every host part, keeping only members the detector certifies fan-free.
+    Of the members with exactly the best λ the winner has the fewest edges.
+    No member has more edges than the closed form, so `matches_formula`
+    holds exactly when every maximizer in the family has the closed form's
+    count.
 
-    The imbalance sweep deliberately includes unbalanced vectors so balance
-    is demonstrated rather than assumed."""
+    The sweep deliberately includes unbalanced vectors so balance is
+    demonstrated rather than assumed."""
     spec = fanspec_of(spec)
     if spec.r < 3:
         raise ValueError("family search requires clique order r >= 3")
     t0 = time.monotonic()
-    members = _family_members(n, spec, max_imbalance, cap)
+    members = _family_members(n, spec)
 
     free_count = 0
     best = best_key = None
@@ -857,27 +856,22 @@ class MainTheoremReport(_Report):
 
 
 def verify_main_theorem(
-    n: int,
-    spec: FanSpec | tuple[int, int],
-    max_imbalance: int = 2,
-    *,
-    jobs: int = 1,
-    cap: int = DEFAULT_ENUM_CAP,
+    n: int, spec: FanSpec | tuple[int, int], *, jobs: int = 1
 ) -> MainTheoremReport:
     """Check that the family's spectral maximizer is edge-extremal (its edge
-    count equals the closed form).  For n within the enumeration cap, also
-    compare the unrestricted brute-force spectral maximizer's edges against
-    the brute-force edge maximum."""
+    count equals the closed form).  For n <= DEFAULT_ENUM_CAP, also compare
+    the unrestricted brute-force spectral maximizer's edges against the
+    brute-force edge maximum; the report depends on n, k and r alone."""
     spec = fanspec_of(spec)
     t0 = time.monotonic()
-    fam = family_search(n, spec, max_imbalance, jobs=jobs, cap=cap)
+    fam = family_search(n, spec, jobs=jobs)
 
     brute_agrees = None
     brute_lam = None
     brute_edges = None
-    if n <= cap:
-        lam_rep = brute_force_extremal(n, spec, "lambda", jobs=jobs, cap=cap)
-        edge_rep = brute_force_extremal(n, spec, "edges", jobs=jobs, cap=cap)
+    if n <= DEFAULT_ENUM_CAP:
+        lam_rep = brute_force_extremal(n, spec, "lambda", jobs=jobs)
+        edge_rep = brute_force_extremal(n, spec, "edges", jobs=jobs)
         brute_lam = float(lam_rep.best_value)
         brute_edges = int(edge_rep.best_value)
         witness_edges = {from_graph6(s).edge_count for s in lam_rep.witnesses}

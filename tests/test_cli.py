@@ -1,6 +1,8 @@
 """CLI surface: subcommands, exit codes, JSON shapes, determinism."""
 
+import hashlib
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -25,15 +27,17 @@ from fanspec import (
 from fanspec import cli
 from fanspec.cli import build_parser, fmt12, main, parse_construct_spec
 from fanspec.oracle import BoundedEdgeReport
+from fanspec.spectral import multipartite_charpoly_eval
 
 
-def run_cli(args, stdin=None, timeout=None):
+def run_cli(args, stdin=None, timeout=None, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "fanspec.cli", *args],
         capture_output=True,
         text=True,
         input=stdin,
         timeout=timeout,
+        env=env,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -52,66 +56,83 @@ def resume_brute5(**progress):
     return ["brute", "--n", "5", "--k", "1", "--r", "3", "--checkpoint", progress]
 
 
+# graph6 of each spec, as printed by the long form `construct FAMILY --opts`
+# before `construct` took the spec itself
+CONSTRUCT_GRAPH6 = {
+    "turan:5,2": "DFw",
+    "turan:7,3": "FFz~o",
+    "multipartite:3,2,2": "FFz~o",
+    "multipartite:2,2": "C]",
+    "fan:2,3": "D{c",
+    "fan:2,4": "F~aKW",
+    "extremal:12,2,3": "K_?F~z{~Fw^_",
+    "extremal:13,2,3,1": "L???F~~~f{^o~_",
+    "split:6,2": "E}r?",
+    "ch:4": "FlSkG",
+}
+
+# the same for graphs above 62 vertices: (length, sha256) of the graph6
+CONSTRUCT_LONG_GRAPH6 = {
+    "turan:63,2": (330, "532227a0d72c14e256072d12d64c0d25196806fff654c61b7709f6cab3d6e98d"),
+    "split:80,0": (531, "6e79a80980635696aaa86c370a57c28264c677150f194e71ea611da6b09f6539"),
+    "turan:100,1": (829, "263a03fc2a5c6cc4edd2b6fba701c95420bc5a2ecc5670cfa43cf3972316fa48"),
+    "ch:1000": (332838, "1a48958501741fa5f37d7a95d46db44b1ab4494a9c1b90e0959ea765d4c07e0a"),
+}
+
+
 class TestConstruct:
     def test_turan(self):
-        code, out, _ = run_cli(["construct", "turan", "--n", "5", "--p", "2"])
+        code, out, _ = run_cli(["construct", "turan:5,2"])
         assert code == 0
         assert from_graph6(out.strip()) == turan_graph(5, 2)
 
     def test_fan_and_ch(self):
-        code, out, _ = run_cli(["construct", "fan", "--k", "2", "--r", "3"])
+        code, out, _ = run_cli(["construct", "fan:2,3"])
         assert code == 0 and from_graph6(out.strip()).edge_count == 6
-        code, out, _ = run_cli(["construct", "ch", "--k", "4"])
+        code, out, _ = run_cli(["construct", "ch:4"])
         assert code == 0 and from_graph6(out.strip()).edge_count == 10
 
     def test_split_and_multipartite(self):
-        code, out, _ = run_cli(["construct", "split", "--n", "6", "--k", "2"])
+        code, out, _ = run_cli(["construct", "split:6,2"])
         assert code == 0 and from_graph6(out.strip()).edge_count == 9
-        code, out, _ = run_cli(["construct", "multipartite", "--sizes", "2,2"])
+        code, out, _ = run_cli(["construct", "multipartite:2,2"])
         assert code == 0 and from_graph6(out.strip()).edge_count == 4
 
     def test_structured_graph_exits_2(self):
         # multipartite families past the dense limit are structured graphs,
         # which graph6 output does not densify
-        code, _, err = run_cli(["construct", "extremal", "--n", "100", "--k", "2", "--r", "3"])
+        code, _, err = run_cli(["construct", "extremal:100,2,3"])
         assert code == 2
         assert err.startswith("error: graph6 output needs a dense graph")
         assert "short form" not in err
 
     def test_long_form_graphs(self):
         # dense graphs above 62 vertices get the four-byte graph6 header
-        for argv, spec in (
-            (["turan", "--n", "63", "--p", "2"], "turan:63,2"),
-            (["split", "--n", "80", "--k", "0"], "split:80,0"),
-            (["turan", "--n", "100", "--p", "1"], "turan:100,1"),
-            (["ch", "--k", "1000"], "ch:1000"),
-        ):
-            code, out, err = run_cli(["construct", *argv])
-            assert code == 0, (argv, err)
+        for spec, (length, digest) in CONSTRUCT_LONG_GRAPH6.items():
+            code, out, err = run_cli(["construct", spec])
+            assert code == 0, (spec, err)
             assert out.startswith("~")
             assert from_graph6(out.strip()) == parse_construct_spec(spec)
+            line = out.strip().encode()
+            assert (len(line), hashlib.sha256(line).hexdigest()) == (length, digest), spec
 
-    def test_every_family_matches_the_spec_parser(self):
-        # `construct FAMILY --opts` and the constructor spec build one graph
-        cases = [
-            (["turan", "--n", "7", "--p", "3"], "turan:7,3"),
-            (["multipartite", "--sizes", "3,2,2"], "multipartite:3,2,2"),
-            (["fan", "--k", "2", "--r", "4"], "fan:2,4"),
-            (["extremal", "--n", "12", "--k", "2", "--r", "3"], "extremal:12,2,3"),
-            (["extremal", "--n", "13", "--k", "2", "--r", "3", "--part", "1"], "extremal:13,2,3,1"),
-            (["split", "--n", "6", "--k", "2"], "split:6,2"),
-            (["ch", "--k", "4"], "ch:4"),
-        ]
-        for argv, spec in cases:
-            code, out, _ = run_cli(["construct", *argv])
-            assert code == 0, argv
-            assert out.strip() == to_graph6(parse_construct_spec(spec)), argv
+    def test_every_family_prints_the_pinned_graph6(self):
+        for spec, g6 in CONSTRUCT_GRAPH6.items():
+            code, out, err = run_cli(["construct", spec])
+            assert (code, out, err) == (0, g6 + "\n", ""), spec
+
+    def test_takes_only_the_spec(self):
+        # the long form, one sub-subcommand per family, is gone
+        for argv in (["turan", "--n", "5", "--p", "2"], ["turan:5,2", "--n", "5"], []):
+            code, out, err = run_cli(["construct", *argv])
+            assert (code, out) == (2, ""), argv
+            assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["construct", "ch", "--k", "15"],
+        ["construct", "ch:15"],
         ["lambda", "--construct", "ch:21"],
         # the reduced neighbourhood of a clique vertex holds both K_15
         ["check", "--k", "15", "--r", "3", "--construct", "extremal:1000,15,3"],
@@ -262,6 +283,33 @@ class TestCharpoly:
         d = json.loads(out)
         assert d["single_part"] is True and d["value"] == 16
 
+    def test_integer_x_is_exact(self):
+        # an integer past 2^53 is evaluated and echoed as given, not
+        # through the nearest float
+        x = 12345678901234567
+        code, out, _ = run_cli(["charpoly", "--sizes", "2,2", "--x", str(x)])
+        d = json.loads(out)
+        assert code == 0
+        assert d["x"] == x
+        assert d["value"] == multipartite_charpoly_eval([2, 2], x) == x**2 * (x**2 - 4)
+        code, out, _ = run_cli(["charpoly", "--sizes", "2,2", "--x", str(x), "--raw"])
+        assert out == f"{x**2 * (x**2 - 4)}\n"
+        # an integral float is still an integer point
+        code, out, _ = run_cli(["charpoly", "--sizes", "2,2", "--x", "3.0"])
+        assert json.loads(out) == {"value": 45, "x": 3, "single_part": False}
+
+    @pytest.mark.parametrize("parts, size", [(400, 1), (300, 2)])
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_float_overflow_is_exit_2(self, parts, size, raw):
+        # a float evaluation that overflows printed NaN, which is not JSON
+        # (400 parts of size 1), or raised OverflowError (300 of size 2)
+        sizes = ",".join([str(size)] * parts)
+        argv = ["charpoly", "--sizes", sizes, "--x", "1000000.5"]
+        code, out, err = run_cli(argv + ["--raw"] * raw)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "integer x" in err
+        assert "Traceback" not in err
+
 
 class TestReports:
     def test_brute_json_and_out_file(self, tmp_path):
@@ -361,6 +409,25 @@ class TestReports:
         d = json.loads(out)
         assert d["agrees"] is True and d["brute_force_agrees"] is None
 
+    def test_enum_cap_applies_to_brute_only(self):
+        # FANSPEC_MAX_N sets the cap of brute and brutef; the reports of
+        # family and verify depend on n, k and r alone
+        def with_cap(cap):
+            env = {k: v for k, v in os.environ.items() if k != "FANSPEC_MAX_N"}
+            return env if cap is None else {**env, "FANSPEC_MAX_N": cap}
+
+        verify = ["verify", "--n", "8", "--k", "2", "--r", "3", "--no-timing"]
+        runs = {run_cli(verify, env=with_cap(cap)) for cap in (None, "3", "5", "12")}
+        (run,) = runs
+        assert run[0] == 0 and json.loads(run[1])["brute_force_agrees"] is True
+        family = ["family", "--n", "20", "--k", "2", "--r", "3", "--no-timing"]
+        assert run_cli(family, env=with_cap("3")) == run_cli(family, env=with_cap(None))
+        code, out, err = run_cli(["brute", "--n", "6", "--k", "1", "--r", "3"], env=with_cap("5"))
+        assert (code, out) == (2, "") and "exceeds the enumeration cap 5" in err
+        brutef = ["brutef", "--beta", "1", "--delta", "1", "--nmax", "6"]
+        code, out, err = run_cli(brutef, env=with_cap("5"))
+        assert (code, out) == (2, "") and "exceeds the enumeration cap 5" in err
+
     def test_jobs_byte_identical(self):
         args = ["brute", "--n", "6", "--k", "1", "--r", "3", "--no-timing"]
         _, out1, _ = run_cli(args + ["--jobs", "1"])
@@ -380,8 +447,8 @@ class TestHelpAndErrors:
             "charpoly": ["--sizes", "--x", "--raw"],
             "brute": ["--n", "--k", "--r", "--mode", "--checkpoint"],
             "brutef": ["--beta", "--delta", "--nmax"],
-            "family": ["--n", "--k", "--r", "--imbalance"],
-            "verify": ["--n", "--k", "--r", "--imbalance"],
+            "family": ["--n", "--k", "--r"],
+            "verify": ["--n", "--k", "--r"],
         }
         # the flags every search shares
         for cmd in ("brute", "brutef", "family", "verify"):
@@ -401,6 +468,10 @@ class TestHelpAndErrors:
         # classes: neither takes a flag
         for flag in ("--resume", "--checkpoint-every"):
             assert flag not in sub_actions.choices["brute"].format_help(), flag
+        # family and verify take n, k and r, and nothing else that changes
+        # their report
+        for cmd in ("family", "verify"):
+            assert "--imbalance" not in sub_actions.choices[cmd].format_help(), cmd
 
     def test_readme_examples_parse(self):
         # every `fanspec ...` line of the README's bash blocks, as argv, so a
@@ -453,8 +524,10 @@ class TestHelpAndErrors:
             # a checkpoint is resumed whenever it matches and saved every
             # 10^6 classes: the flags that set either are gone
             ["brute", "--n", "5", "--k", "1", "--r", "3", "--checkpoint-every", "5"],
+            # the family's imbalance is fixed at 2: the flag that set it is gone
             ["family", "--n", "21", "--k", "2", "--r", "3", "--imbalance", "0"],
             ["family", "--n", "21", "--k", "2", "--r", "3", "--imbalance", "-1"],
+            ["verify", "--n", "8", "--k", "2", "--r", "3", "--imbalance", "2"],
             ["family", "--n", "1", "--k", "2", "--r", "3"],
             ["verify", "--n", "1", "--k", "2", "--r", "3"],
             ["charpoly", "--sizes", "2,3", "--x", "nan"],
@@ -495,10 +568,13 @@ class TestHelpAndErrors:
             ["lambda", "--construct", "turan:5,,2"],
             ["lambda", "--construct", "turan:,5,2"],
             ["lambda", "--construct", "extremal:20,2,3,"],
-            ["construct", "multipartite", "--sizes", "3,,4"],
+            ["construct", "multipartite:3,,4"],
             # a sweep takes its graphs from --construct alone
             ["lambda", "--g6", "A_", "--construct", "turan:{n},2", "--sweep", "n=4:1:5"],
             ["qlambda", "--file", "graphs.g6", "--construct", "turan:{n},2", "--sweep", "n=4:1:5"],
+            # a sweep prints CSV: a flag that shapes other output is bad input
+            ["lambda", "--construct", "turan:{n},2", "--sweep", "n=3:1:4", "--raw"],
+            ["lambda", "--construct", "turan:{n},2", "--sweep", "n=3:1:4", "--vector"],
         ],
         ids=lambda argv: " ".join(map(str, argv[:1] + argv[-2:])),
     )
@@ -510,7 +586,9 @@ class TestHelpAndErrors:
         # a graph in stdin: a command that fell back to reading it would exit 0
         code, out, err = run_cli(argv, stdin="B?\n")
         assert code == 2
-        removed = [f for f in ("--tol", "--resume", "--checkpoint-every") if f in argv]
+        removed = [
+            f for f in ("--tol", "--resume", "--checkpoint-every", "--imbalance") if f in argv
+        ]
         if argv[0] in ("brute", "family", "verify") and removed:
             assert f"unrecognized arguments: {removed[0]}" in err
         else:
@@ -523,6 +601,8 @@ class TestHelpAndErrors:
             assert "bad constructor arguments" in err
         if argv[-1] == "n=4:1:5":
             assert "give exactly one graph source" in err
+        if argv[-1] in ("--raw", "--vector"):
+            assert "--sweep prints CSV" in err
 
     def test_checkpoint_in_missing_directory_is_exit_2(self, tmp_path):
         ckpt = tmp_path / "missing" / "state.json"

@@ -419,6 +419,31 @@ class TestBruteForceExtremal:
             with pytest.raises(TypeError):
                 verify_main_theorem(8, (2, 3), tol=tol)
 
+    def test_family_settings_are_not_parameters(self, monkeypatch):
+        # the family's imbalance is MAX_IMBALANCE and g0's enumeration cap
+        # DEFAULT_ENUM_CAP, so a family or verify report depends on n, k and
+        # r alone: passing either is a TypeError before anything is built
+        def enumerate_nothing(*args, **kwargs):
+            raise AssertionError("enumerated before rejecting the arguments")
+
+        monkeypatch.setattr(oracle, "_levels", enumerate_nothing)
+        monkeypatch.setattr(oracle, "g0_candidates", enumerate_nothing)
+        assert oracle.MAX_IMBALANCE == 2
+        for call in (
+            lambda: family_search(200, (2, 3), 2),
+            lambda: family_search(200, (2, 3), max_imbalance=2),
+            lambda: family_search(200, (2, 3), cap=10),
+            lambda: verify_main_theorem(8, (2, 3), 2),
+            lambda: verify_main_theorem(8, (2, 3), max_imbalance=2),
+            lambda: verify_main_theorem(8, (2, 3), cap=10),
+            lambda: oracle._family_members(200, FanSpec(2, 3), 2, DEFAULT_ENUM_CAP),
+        ):
+            with pytest.raises(TypeError):
+                call()
+        monkeypatch.undo()
+        with pytest.raises(TypeError):
+            g0_candidates(3, cap=10)
+
     def test_checkpoint_mismatch_rejected(self, tmp_path):
         ckpt = tmp_path / "state.json"
         ckpt.write_text(
@@ -818,7 +843,7 @@ def stalled(value):
 
 spec = FanSpec(2, 3)
 if sys.argv[1] == "family":
-    target = oracle._family_members(30, spec, 2, 10)[1]
+    target = oracle._family_members(30, spec)[1]
     real = oracle._member_lambda
 
     def fake(member, spec):
@@ -968,7 +993,7 @@ class TestFamilySearch:
         # the cross pairs of the parts plus g0's edges, against the member built
         for n in (20, 63, 64, 90):
             for spec in ((2, 3), (3, 3), (2, 4)):
-                members = _family_members(n, FanSpec(*spec), 2, DEFAULT_ENUM_CAP)
+                members = _family_members(n, FanSpec(*spec))
                 assert members
                 for member in members:
                     sizes, _, g0_edges, host = member
@@ -976,7 +1001,7 @@ class TestFamilySearch:
                     assert _member_edges(member) == sum(g.degrees()) // 2, (n, spec, member)
 
     def test_balanced_bipartite_wins_triangle_free(self):
-        rep = family_search(60, (1, 3), 2)
+        rep = family_search(60, (1, 3))
         assert rep.best_value == pytest.approx(30.0, abs=1e-9)
         assert rep.winner["part_sizes"] == [30, 30]
         assert from_graph6(rep.witnesses[0]) == turan_graph(60, 2)
@@ -988,7 +1013,9 @@ class TestFamilySearch:
         assert rep.free_count == rep.graphs_examined  # everything in-family is free here
 
     def test_balance_wins_at_200(self):
-        rep = family_search(200, (2, 3), 1)
+        # the sweep holds (101, 99) too, and the balanced vector beats it
+        assert {m[0] for m in _family_members(200, FanSpec(2, 3))} == {(100, 100), (101, 99)}
+        rep = family_search(200, (2, 3))
         assert rep.winner["part_sizes"] == [100, 100]
         assert rep.winner["edges"] == 10001
 
@@ -1027,7 +1054,7 @@ class TestFamilySearch:
         spec = FanSpec(2, 3)
         real = oracle._member_lambda
         best = max(
-            _family_members(20, spec, 2, DEFAULT_ENUM_CAP), key=lambda m: real(m, spec) or 0.0
+            _family_members(20, spec), key=lambda m: real(m, spec) or 0.0
         )
         planted = ((10, 10), "?", (), 0)
         assert _member_edges(planted) < _member_edges(best) == 101
@@ -1109,10 +1136,10 @@ class TestVerifyMainTheorem:
             assert rep.brute_force_agrees is True
 
     def test_triangle_free_agrees_through_12(self):
-        # family-level agreement at every order; the exhaustive cross-check
-        # stays below the (lowered) cap to keep this quick
+        # family-level agreement at every order, which is verify's `agrees`;
+        # verify itself would add the exhaustive cross-check up to n = 10
         for n in range(6, 13):
-            assert verify_main_theorem(n, (1, 3), cap=7).agrees
+            assert family_search(n, (1, 3)).matches_formula
 
     def test_n7_bowtie_reports_brute(self):
         rep = verify_main_theorem(7, (2, 3))

@@ -56,6 +56,18 @@ children of 98 parents where the walk over every class built 1,044 of
 156, and it labels 328 graphs against 638 (at n = 8, 1,577 against
 5,660).
 
+One walk scores both modes.  `_scan_parent` is the one worker of `brute`,
+`brutef` and `verify`: it takes the predicate and an optional λ floor, and
+hands back each parent's count of kept children, the children at the
+parent's top edge count, and, given a floor, its λ-scored children.  The
+merge keeps a (best, classes) pair per score, and so does the checkpoint.
+A parent's children below its own top edge count cannot reach the best
+edge count of the run, so only the top ones cross the pipe.  Edges mode
+and `brutef` pass no floor and bracket nothing; a lambda walk reads the
+edge count of every fan-free child for one `bit_count` sum each, so
+`verify` takes the λ maximizers and the edge maximum from one walk, and
+builds the fan-free levels once.
+
 `brute` in lambda mode scores only the fan-free children that can reach
 the best value, each by its exact λ, and its witnesses are the classes
 whose score equals the best exactly, as in edges mode.  A score is λ
@@ -79,8 +91,9 @@ its rounded upper bracket, below the floor or a score of the run.  So no
 class the worker skips or drops scores the best, and the report is that of
 scoring every child: the examined and fan-free counts, the witnesses, and
 the best value to its 12 digits.  The state in a mid-run checkpoint is
-not: with a worker that scores every child, `best` and `cands` also hold
-classes below the floor, which this worker never scores.  What holds is
+not: with a worker that scores every child, the λ score's `best` and
+`cands` also hold classes below the floor, which this worker never
+scores.  What holds is
 that a resume from any checkpoint ends in the same report, since every
 class the worker skips is below the final best.  `brute` makes no float
 solve, so `ConvergenceError` comes only from a bracket still open after
@@ -359,24 +372,27 @@ def _walk_bound(rows: Rows) -> int:
     return max(sum(deg[u] for u in _mask_bits(row)) for row in rows)
 
 
-def _scan_extremal_parent(
-    parent: ClassRep, spec: FanSpec, mode: str, floor: float
-) -> tuple[int, list[tuple[float | int, Rows]]]:
-    """Worker: the number of final-level children of one fan-free parent,
-    all of them fan-free, and (value, rows) for each child it scores, its
-    rows as built: fan-freeness, edges and λ do not depend on the labeling.
-    It scores every one in edges mode.  In lambda mode it scores, in
-    descending walk bound W, the children with √W at least floor, each by
-    its exact λ, and drops a child once its score is shown below floor and
-    below this parent's best score so far.
+def _scan_parent(
+    parent: ClassRep, pred: Pred, floor: float | None = None
+) -> tuple[int, list[list[tuple[float | int, Rows]]]]:
+    """Worker: the number of children of one parent that pred keeps, and
+    (value, rows) for each child it scores, one list per score, the rows as
+    built: the predicate, edges and λ do not depend on the labeling.  The
+    first list holds the children at the parent's top edge count.  Given a
+    λ floor, a second holds the children it scores, in descending walk
+    bound W, among those with √W at least floor, each by its exact λ; it
+    drops a child once its score is shown below floor and below this
+    parent's best score so far.
 
     The augmentation acceptance test is exactly-once per isomorphism class
-    across all parents, so the parents partition the fan-free classes."""
-    fan_free = partial(fan_free_through_last, spec=spec)
-    free = [crows for crows, _ in _children_of_parent_aug(parent, fan_free)]
-    if mode == "edges":
-        return len(free), [(_edge_count(crows), crows) for crows in free]
-    bounded = [(w, crows) for crows in free if math.sqrt(w := _walk_bound(crows)) >= floor]
+    across all parents, so the parents partition the classes pred keeps."""
+    kept = [crows for crows, _ in _children_of_parent_aug(parent, pred)]
+    edges = [_edge_count(crows) for crows in kept]
+    top = max(edges, default=0)
+    top_edges = [(e, crows) for e, crows in zip(edges, kept) if e == top]
+    if floor is None:
+        return len(kept), [top_edges]
+    bounded = [(w, crows) for crows in kept if math.sqrt(w := _walk_bound(crows)) >= floor]
     bounded.sort(key=itemgetter(0), reverse=True)
     scored = []
     best = -math.inf
@@ -385,7 +401,7 @@ def _scan_extremal_parent(
         if lam is not None:
             scored.append((lam, crows))
             best = max(best, lam)
-    return len(free), scored
+    return len(kept), [top_edges, scored]
 
 
 def _serve(fn, tasks: Sequence, fd: int, inherited) -> None:
@@ -464,6 +480,22 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_score_state(state, n: int) -> bool:
+    """Whether a checkpoint's entry for one score is {"best", "cands"}: a
+    finite number or None, and graph6 strings on n vertices, present exactly
+    when best is."""
+    return (
+        isinstance(state, dict)
+        and state.keys() == {"best", "cands"}
+        # an int is finite, and math.isfinite overflows on a huge one
+        and ((best := state["best"]) is None or _is_int(best)
+             or isinstance(best, float) and math.isfinite(best))
+        and isinstance(cands := state["cands"], list)
+        and (best is None) == (not cands)
+        and all(isinstance(s, str) and from_graph6(s).n == n for s in cands)
+    )
+
+
 def _graph6_of(cands: list[Rows]) -> list[str]:
     """Each class's rows as canonical graph6."""
     return [to_graph6(canonical_form(Graph._from_rows_unchecked(c))) for c in cands]
@@ -487,44 +519,28 @@ def _write_json_atomic(path: str, obj) -> None:
         raise
 
 
-def brute_force_extremal(
-    n: int,
-    spec: FanSpec | tuple[int, int],
-    mode: str = "edges",
-    *,
-    jobs: int = 1,
-    cap: int = DEFAULT_ENUM_CAP,
-    checkpoint_path: str | None = None,
-) -> ExtremalReport:
-    """Exact maximum edges or spectral radius over every fan-free
-    isomorphism class on n vertices, with all achieving witnesses.
+def _fan_free_walk(
+    n: int, spec: FanSpec, mode: str, jobs: int, checkpoint_path: str | None = None
+) -> tuple[int, dict[str, list]]:
+    """The number of fan-free classes on n vertices and, for each score the
+    walk carries, [best value, the classes that score it, as built]: the
+    edge count, and in lambda mode λ too, from the same children.
 
     With a checkpoint path, a file already there is resumed when its key
-    (n, k, r, mode, acceptance rule, walk) is this run's, and is otherwise a
-    ValueError, and never written; only the cursor's upper bound, the
-    number of fan-free parents, is checked after the levels are built.  The
-    state is saved after each parent that brings the classes built since
-    the last save to CHECKPOINT_CLASSES.  Results reach the merge one
-    parent at a time at every job count, so a save can follow any parent,
-    and a kill loses only the parents after the last save, with whatever
-    the workers finished ahead of the merge."""
-    spec = fanspec_of(spec)
-    if mode not in ("edges", "lambda"):
-        raise ValueError("mode must be 'edges' or 'lambda'")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > cap:
-        raise EnumerationCapError(f"n={n} exceeds the enumeration cap {cap}")
-    if checkpoint_path and not os.path.isdir(os.path.dirname(os.path.abspath(checkpoint_path))):
-        raise ValueError(f"checkpoint directory of {checkpoint_path!r} does not exist")
-    t0 = time.monotonic()
-
-    start = 0
-    free = 0
-    best: float | int | None = None
-    # the fan-free classes that score `best`, as built: only a checkpoint
-    # and the report label them, for canonical graph6
-    cands: list[Rows] = []
+    (n, k, r, mode, acceptance rule, walk) is this run's and it holds every
+    score the walk carries, and is otherwise a ValueError, and never
+    written; only the cursor's upper bound, the number of fan-free parents,
+    is checked after the levels are built.  The state is saved after each
+    parent that brings the classes built since the last save to
+    CHECKPOINT_CLASSES.  Results reach the merge one parent at a time at
+    every job count, so a save can follow any parent, and a kill loses only
+    the parents after the last save, with whatever the workers finished
+    ahead of the merge."""
+    start = free = 0
+    # per score, the best value and the fan-free classes that score it, as
+    # built: only a checkpoint and the report label them, for canonical
+    # graph6.  Every walk scores edges, and a lambda walk λ too.
+    scores: dict[str, list] = {s: [None, []] for s in ("edges", mode)}
 
     ckpt_key = {
         "kind": "brute",
@@ -539,31 +555,28 @@ def brute_force_extremal(
         # over all classes belongs to another walk
         "walk": "fan-free",
     }
-    progress = ("parent_cursor", "free", "best", "cands")
     if checkpoint_path and os.path.exists(checkpoint_path):
         with open(checkpoint_path) as fh:
             state = json.load(fh)
-        # any other key (a batch cursor, say) belongs to another format
+        # any other key (a batch cursor, or one best for the run) belongs to
+        # another format
         if (
             not isinstance(state, dict)
-            or state.keys() != {*ckpt_key, *progress}
+            or state.keys() != {*ckpt_key, "parent_cursor", "free", *scores}
             or {k: state[k] for k in ckpt_key} != ckpt_key
         ):
             raise ValueError("checkpoint does not match this run's parameters")
-        start, free, best, cands = (state[k] for k in progress)
+        start, free = state["parent_cursor"], state["free"]
         if not (
             _is_int(start)
             and start >= 0
             and _is_int(free)
             and free >= 0
-            # an int is finite, and math.isfinite overflows on a huge one
-            and (best is None or _is_int(best) or isinstance(best, float) and math.isfinite(best))
-            and isinstance(cands, list)
-            and (best is None) == (not cands)
-            and all(isinstance(s, str) and from_graph6(s).n == n for s in cands)
+            and all(_is_score_state(state[s], n) for s in scores)
         ):
             raise ValueError("checkpoint progress is malformed")
-        cands = [from_graph6(s).rows for s in cands]
+        for s, pair in scores.items():
+            pair[:] = state[s]["best"], [from_graph6(g).rows for g in state[s]["cands"]]
 
     fan_free = partial(fan_free_through_last, spec=spec)
     for _, parents in _levels(n - 1, fan_free):
@@ -573,33 +586,55 @@ def brute_force_extremal(
 
     since_ckpt = 0
     # T(n, r−1) is K_r-free, so fan-free, and its score is a floor under the
-    # best (module docstring); edges mode never reads it
-    floor = exact_spectral_radius(turan_graph(n, spec.r - 1)) if mode == "lambda" else 0.0
-    scan = partial(_scan_extremal_parent, spec=spec, mode=mode, floor=floor)
+    # best λ (module docstring); edges mode passes none, and brackets nothing
+    floor = exact_spectral_radius(turan_graph(n, spec.r - 1)) if mode == "lambda" else None
+    scan = partial(_scan_parent, pred=fan_free, floor=floor)
     # closed here, not when the frame goes, so a failed save stops the workers
     with contextlib.closing(_map(scan, parents[start:], jobs)) as results:
         for cursor, (count, scored) in enumerate(results, start + 1):
             free += count
-            for value, crows in scored:
-                if best is None or value > best:
-                    best, cands = value, []
-                if value == best:
-                    cands.append(crows)
+            for pair, values in zip(scores.values(), scored):
+                for value, crows in values:
+                    if pair[0] is None or value > pair[0]:
+                        pair[:] = value, []
+                    if value == pair[0]:
+                        pair[1].append(crows)
             since_ckpt += count
             if checkpoint_path and since_ckpt >= CHECKPOINT_CLASSES:
                 since_ckpt = 0
-                state = dict(ckpt_key)
-                state.update(zip(progress, (cursor, free, best, _graph6_of(cands))))
+                state = {**ckpt_key, "parent_cursor": cursor, "free": free}
+                for s, (best, cands) in scores.items():
+                    state[s] = {"best": best, "cands": _graph6_of(cands)}
                 _write_json_atomic(checkpoint_path, state)
+    return free, scores
 
-    witnesses = tuple(sorted(_graph6_of(cands)))
+
+def brute_force_extremal(
+    n: int,
+    spec: FanSpec | tuple[int, int],
+    mode: str = "edges",
+    *,
+    jobs: int = 1,
+    cap: int = DEFAULT_ENUM_CAP,
+    checkpoint_path: str | None = None,
+) -> ExtremalReport:
+    """Exact maximum edges or spectral radius over every fan-free
+    isomorphism class on n vertices, with all achieving witnesses: the
+    pair of `mode` from one `_fan_free_walk`, which also saves and resumes
+    the checkpoint at checkpoint_path."""
+    spec = fanspec_of(spec)
+    if mode not in ("edges", "lambda"):
+        raise ValueError("mode must be 'edges' or 'lambda'")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n > cap:
+        raise EnumerationCapError(f"n={n} exceeds the enumeration cap {cap}")
+    if checkpoint_path and not os.path.isdir(os.path.dirname(os.path.abspath(checkpoint_path))):
+        raise ValueError(f"checkpoint directory of {checkpoint_path!r} does not exist")
+    t0 = time.monotonic()
+    free, scores = _fan_free_walk(n, spec, mode, jobs, checkpoint_path)
+    best, cands = scores[mode]
     formula, applicable = _formula(n, spec)
-    matches: bool | None = None
-    if formula is not None:
-        if mode == "edges":
-            matches = best == formula
-        else:
-            matches = {from_graph6(s).edge_count for s in witnesses} == {formula}
     return ExtremalReport(
         n=n,
         k=spec.k,
@@ -608,8 +643,8 @@ def brute_force_extremal(
         best_value=best,
         formula_value=formula,
         applicable=applicable,
-        matches_formula=matches,
-        witnesses=witnesses,
+        matches_formula=None if formula is None else {_edge_count(c) for c in cands} == {formula},
+        witnesses=tuple(sorted(_graph6_of(cands))),
         graphs_examined=graph_count(n),
         free_count=free,
         wall_seconds=time.monotonic() - t0,
@@ -626,12 +661,6 @@ def _bounded_pred(beta: int, delta: int) -> Pred:
         return clique_packing_number(g, 2, beta + 1) <= beta
 
     return pred
-
-
-def _scan_f_parent(parent: ClassRep, beta: int, delta: int) -> list[int]:
-    """Worker: the edge counts of one parent's children in the class."""
-    pred = _bounded_pred(beta, delta)
-    return [_edge_count(rows) for rows, _ in _children_of_parent_aug(parent, pred)]
 
 
 @dataclass
@@ -656,7 +685,12 @@ def brute_force_f_report(
     vertices with matching number <= beta and max degree <= delta.
 
     Enumeration stays inside the hereditary class, so the search space is a
-    tiny sliver of all isomorphism classes."""
+    tiny sliver of all isomorphism classes.  `graphs_examined` counts the
+    classes on every order up to n_max, but the maximum is read off the
+    last level alone: a graph padded with isolated vertices keeps its Δ and
+    ν, so every smaller class has a copy on n_max vertices with its edges.
+    That level is scanned, not stored, by the worker of `brute` with no λ
+    floor, which hands back each parent's children at its top edge count."""
     if n_max > cap:
         raise EnumerationCapError(f"n_max={n_max} exceeds the enumeration cap {cap}")
     if beta < 0 or delta < 0:
@@ -669,11 +703,10 @@ def brute_force_f_report(
     examined = 0
     for _, level in _levels(n_max - 1, pred):
         examined += len(level)
-        best = max(best, *(_edge_count(rows) for rows, _ in level))
     if n_max >= 1:  # the empty graph is the one class with no parent
-        for counts in _map(partial(_scan_f_parent, beta=beta, delta=delta), level, jobs):
-            examined += len(counts)
-            best = max([best, *counts])
+        for count, (top,) in _map(partial(_scan_parent, pred=pred), level, jobs):
+            examined += count
+            best = max([best, *(e for e, _ in top)])
     return BoundedEdgeReport(
         beta=beta,
         delta=delta,
@@ -860,22 +893,20 @@ def verify_main_theorem(
 ) -> MainTheoremReport:
     """Check that the family's spectral maximizer is edge-extremal (its edge
     count equals the closed form).  For n <= DEFAULT_ENUM_CAP, also compare
-    the unrestricted brute-force spectral maximizer's edges against the
-    brute-force edge maximum; the report depends on n, k and r alone."""
+    the edge counts of the unrestricted brute-force spectral maximizers with
+    the brute-force edge maximum.  Both come from one lambda-mode walk of
+    the fan-free classes (`_fan_free_walk`, as `brute` makes it), which
+    carries the edge score beside λ; the report depends on n, k and r
+    alone."""
     spec = fanspec_of(spec)
     t0 = time.monotonic()
     fam = family_search(n, spec, jobs=jobs)
 
-    brute_agrees = None
-    brute_lam = None
-    brute_edges = None
+    brute_agrees = brute_lam = brute_edges = None
     if n <= DEFAULT_ENUM_CAP:
-        lam_rep = brute_force_extremal(n, spec, "lambda", jobs=jobs)
-        edge_rep = brute_force_extremal(n, spec, "edges", jobs=jobs)
-        brute_lam = float(lam_rep.best_value)
-        brute_edges = int(edge_rep.best_value)
-        witness_edges = {from_graph6(s).edge_count for s in lam_rep.witnesses}
-        brute_agrees = witness_edges == {brute_edges}
+        _, scores = _fan_free_walk(n, spec, "lambda", jobs)
+        (brute_edges, _), (brute_lam, lam_cands) = scores.values()
+        brute_agrees = {_edge_count(c) for c in lam_cands} == {brute_edges}
     return MainTheoremReport(
         n=n,
         k=spec.k,

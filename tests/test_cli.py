@@ -46,14 +46,21 @@ def run_cli(args, stdin=None, timeout=None, env=None):
 BRUTE5_CHECKPOINT = {
     "kind": "brute", "n": 5, "k": 1, "r": 3, "mode": "edges",
     "deletion_vertex": "max-invariant", "walk": "fan-free",
-    "parent_cursor": 0, "free": 0, "best": None, "cands": [],
+    "parent_cursor": 0, "free": 0, "edges": {"best": None, "cands": []},
 }
 
 
 def resume_brute5(**progress):
     """argv that resumes `brute --n 5 --k 1 --r 3` from BRUTE5_CHECKPOINT
-    with these progress values, which the test writes to a file."""
+    with these progress values, which the test writes to a file through
+    `brute5_checkpoint`."""
     return ["brute", "--n", "5", "--k", "1", "--r", "3", "--checkpoint", progress]
+
+
+def brute5_checkpoint(best=None, cands=(), **progress):
+    """BRUTE5_CHECKPOINT with these progress values: `best` and `cands` are
+    those of its one score, edges; any other key is set as given."""
+    return {**BRUTE5_CHECKPOINT, "edges": {"best": best, "cands": cands}, **progress}
 
 
 # graph6 of each spec, as printed by the long form `construct FAMILY --opts`
@@ -371,13 +378,18 @@ class TestReports:
              '{"n": 6, "k": 2, "r": 3, "family_winner_edges": 10, "formula_edges": 10, '
              '"agrees": true, "brute_force_agrees": true, "brute_best_lambda": 3.39234434563, '
              '"brute_best_edges": 10, "wall_seconds": null}'),
+            # the λ maximizer (FJ\~w) has fewer edges than the edge maximizer (FNz~o)
+            (["verify", "--n", "7", "--k", "3", "--r", "3", "--no-timing"], 0, MainTheoremReport,
+             '{"n": 7, "k": 3, "r": 3, "family_winner_edges": 15, "formula_edges": 18, '
+             '"agrees": false, "brute_force_agrees": false, "brute_best_lambda": 5.0340418358, '
+             '"brute_best_edges": 17, "wall_seconds": null}'),
             (["turannum", "--n", "200", "--k", "2", "--r", "3"], 0, FormulaResult,
              '{"value": 10001, "applicable": true, "threshold": 200}'),
             (["check", "--k", "2", "--r", "3", "--witness", "--g6", "D~{"], 1, FanWitness,
              '{"contains": true, "witness": {"center": 0, "cliques": [[1, 2], [3, 4]]}}'),
         ],
         ids=["brute-edges", "brute-lambda", "brute-r2", "brute7-lambda", "brute7-k3-edges",
-             "brutef", "family", "verify", "turannum", "check-witness"],
+             "brutef", "family", "verify", "verify7-k3", "turannum", "check-witness"],
     )
     def test_report_bytes_are_pinned(self, capsys, argv, code, record, line):
         # each line is a record's fields, in order, byte for byte; `check`
@@ -555,6 +567,11 @@ class TestHelpAndErrors:
             resume_brute5(cands=["A_"], best=7),  # a witness on 2 vertices
             resume_brute5(cands=["DF{"]),  # a witness with no best
             resume_brute5(best=7),  # a best with no witness
+            # the edge score is {"best", "cands"}, and an edges run carries no λ
+            resume_brute5(edges=[7, ["DF{"]]),
+            resume_brute5(edges={"best": 7, "cands": ["DF{"], "free": 0}),
+            resume_brute5(edges={"best": 7}),
+            resume_brute5(best=7, cands=["DF{"], **{"lambda": {"best": None, "cands": []}}),
             # an empty source is bad input, not "read stdin"
             ["lambda", "--g6", ""],
             ["lambda", "--construct", ""],
@@ -581,7 +598,7 @@ class TestHelpAndErrors:
     def test_bad_input_is_exit_2(self, argv, tmp_path):
         if isinstance(argv[-1], dict):
             ckpt = tmp_path / "state.json"
-            ckpt.write_text(json.dumps({**BRUTE5_CHECKPOINT, **argv[-1]}))
+            ckpt.write_text(json.dumps(brute5_checkpoint(**argv[-1])))
             argv = [*argv[:-1], str(ckpt)]
         # a graph in stdin: a command that fell back to reading it would exit 0
         code, out, err = run_cli(argv, stdin="B?\n")

@@ -253,9 +253,9 @@ class TestBruteForceExtremal:
             def stub(parent, **kwargs):
                 scored = [] if calls else planted
                 calls.append(parent)
-                return len(scored), scored
+                return len(scored), [[], scored]
 
-            monkeypatch.setattr(oracle, "_scan_extremal_parent", stub)
+            monkeypatch.setattr(oracle, "_scan_parent", stub)
             rep = brute_force_extremal(5, (1, 3), "lambda")
             assert rep.best_value == best
             assert rep.witnesses == (to_graph6(canonical_form(top)),)
@@ -285,7 +285,7 @@ class TestBruteForceExtremal:
 
         clean = brute_force_extremal(6, (1, 3), "edges").to_json(timing=False)
         ckpt = str(tmp_path / "state.json")
-        real = om._scan_extremal_parent
+        real = om._scan_parent
         calls = {"n": 0}
 
         def explode_after_one(*args, **kwargs):
@@ -295,10 +295,10 @@ class TestBruteForceExtremal:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(om, "CHECKPOINT_CLASSES", 1)
-        monkeypatch.setattr(om, "_scan_extremal_parent", explode_after_one)
+        monkeypatch.setattr(om, "_scan_parent", explode_after_one)
         with pytest.raises(KeyboardInterrupt):
             brute_force_extremal(6, (1, 3), "edges", checkpoint_path=ckpt)
-        monkeypatch.setattr(om, "_scan_extremal_parent", real)
+        monkeypatch.setattr(om, "_scan_parent", real)
         state = json.load(open(ckpt))
         assert state["parent_cursor"] == 1
         resumed = brute_force_extremal(6, (1, 3), "edges", checkpoint_path=ckpt).to_json(
@@ -381,8 +381,9 @@ class TestBruteForceExtremal:
             timing=False
         )
         state = json.loads(ckpt.read_text())
-        pairs = [[s, state["best"]] for s in state["cands"]]
-        ckpt.write_text(json.dumps({**state, "tol": 1e-10, "cands": pairs}))
+        best, cands = state["lambda"].values()
+        pairs = {"best": best, "cands": [[s, best] for s in cands]}
+        ckpt.write_text(json.dumps({**state, "tol": 1e-10, "lambda": pairs}))
         with pytest.raises(ValueError, match="does not match"):
             brute_force_extremal(6, (1, 3), "lambda", checkpoint_path=str(ckpt))
         ckpt.write_text(json.dumps(state))
@@ -474,7 +475,7 @@ class TestBruteForceExtremal:
             "kind": "brute", "n": 5, "k": 1, "r": 3, "mode": "edges",
             "deletion_vertex": "max-invariant", "walk": "fan-free",
             "parent_cursor": len(parents), "free": 14,
-            "best": 10**400, "cands": ["D??"],
+            "edges": {"best": 10**400, "cands": ["D??"]},
         }
         ckpt.write_text(json.dumps(state))
         rep = brute_force_extremal(5, (1, 3), "edges", checkpoint_path=str(ckpt))
@@ -519,6 +520,49 @@ class TestBruteForceExtremal:
             assert ckpt.read_text() == self.ALL_CLASS_CHECKPOINT
         assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
 
+    # a checkpoint of the same run in the format with one best for the run,
+    # as the walk that scored one mode wrote it
+    ONE_SCORE_CHECKPOINT = (
+        '{"kind": "brute", "n": 7, "k": 2, "r": 3, "mode": "lambda", '
+        '"deletion_vertex": "max-invariant", "walk": "fan-free", "parent_cursor": 64, '
+        '"free": 350, "best": 3.7015621187164243, "cands": ["F?B~w"]}'
+    )
+
+    def test_a_one_score_checkpoint_is_exit_2_and_kept(self, tmp_path, capsys, monkeypatch):
+        # it holds no edge score, which a lambda walk carries, so its cursor
+        # cannot be resumed; it is rejected before any enumeration, and
+        # never written over
+        def enumerate_nothing(*args, **kwargs):
+            raise AssertionError("enumerated before checking the checkpoint")
+
+        monkeypatch.setattr(oracle, "_levels", enumerate_nothing)
+        monkeypatch.setattr(oracle, "CHECKPOINT_CLASSES", 1)
+        ckpt = tmp_path / "state.json"
+        ckpt.write_text(self.ONE_SCORE_CHECKPOINT)
+        argv = ["brute", "--n", "7", "--k", "2", "--r", "3", "--mode", "lambda",
+                "--checkpoint", str(ckpt)]
+        for jobs in ("1", "2"):
+            assert cli.main([*argv, "--jobs", jobs]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "does not match" in err
+            assert ckpt.read_text() == self.ONE_SCORE_CHECKPOINT
+        assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+
+    def test_a_lambda_checkpoint_holds_both_scores(self, tmp_path, monkeypatch):
+        # the last save of `brute --n 7 --k 2 --r 3 --mode lambda`: the walk
+        # carries the edge score beside λ, and the checkpoint holds both
+        states = []
+        monkeypatch.setattr(oracle, "CHECKPOINT_CLASSES", 1)
+        monkeypatch.setattr(oracle, "_write_json_atomic", lambda path, obj: states.append(obj))
+        brute_force_extremal(7, (2, 3), "lambda", checkpoint_path=str(tmp_path / "state.json"))
+        assert json.dumps(states[-1]) == (
+            '{"kind": "brute", "n": 7, "k": 2, "r": 3, "mode": "lambda", '
+            '"deletion_vertex": "max-invariant", "walk": "fan-free", "parent_cursor": 97, '
+            '"free": 400, "edges": {"best": 13, "cands": ["F?~vg", "F@~v_"]}, '
+            '"lambda": {"best": 3.8482170775894855, "cands": ["F?~vg"]}}'
+        )
+        assert all(state.keys() == states[-1].keys() for state in states)
+
     def test_a_matching_checkpoint_resumes_by_itself(self, tmp_path, monkeypatch):
         # the file at the checkpoint path is the run's own: the scan takes
         # only the parents after its cursor, and the report is the clean one
@@ -556,7 +600,7 @@ class TestBruteForceExtremal:
         own = {
             "kind": "brute", "n": 5, "k": 1, "r": 3, "mode": "edges",
             "deletion_vertex": "max-invariant", "walk": "fan-free",
-            "parent_cursor": 0, "free": 0, "best": None, "cands": [],
+            "parent_cursor": 0, "free": 0, "edges": {"best": None, "cands": []},
         }
         ckpt = tmp_path / "state.json"
         for text in (
@@ -564,7 +608,11 @@ class TestBruteForceExtremal:
             json.dumps({**own, "mode": "lambda"}),
             json.dumps({**own, "free": -5}),
             json.dumps({**own, "free": 2.0}),
-            json.dumps({**own, "best": 7}),
+            json.dumps({**own, "edges": {"best": 7, "cands": []}}),
+            # the format with one best for the run
+            json.dumps({**{k: own[k] for k in own if k != "edges"}, "best": None, "cands": []}),
+            # a lambda walk's scores in an edges run
+            json.dumps({**own, "lambda": {"best": None, "cands": []}}),
             json.dumps([own]),
             "{\"kind\": \"brute\"",
         ):
@@ -584,24 +632,29 @@ class TestBruteForceExtremal:
         assert not os.path.exists(ckpt)
 
 
-def scan_solving_every_child(parent, spec, mode, floor):
-    """The brute worker without the walk bound or the new-vertex fan test:
-    every child is checked by `contains_fan`, and every fan-free one is
-    scored, as before the bound, whatever floor says."""
-    scored = []
+def scan_solving_every_child(parent, spec, pred, floor=None):
+    """The brute worker for spec without the walk bound, the new-vertex fan
+    test or the per-parent edge maximum: every child is checked by
+    `contains_fan` (pred is not read), and every fan-free one is scored by
+    its edges and, given a floor, by a float λ solve, whatever floor says."""
+    free = []
     for crows, _ in _children_of_parent_aug(parent, None):
         g = Graph._from_rows_unchecked(crows)
         if contains_fan(g, spec) is None:
-            value = g.edge_count if mode == "edges" else spectral_radius(g).lam
-            scored.append((value, crows))
-    return len(scored), scored
+            free.append(g)
+    scored = [[(g.edge_count, g.rows) for g in free]]
+    if floor is not None:
+        scored.append([(spectral_radius(g).lam, g.rows) for g in free])
+    return len(free), scored
 
 
-def scan_with_float_solves(parent, spec, mode, floor):
+def scan_with_float_solves(parent, spec, pred, floor=None):
     """The brute worker before exact scores: a float solve of each fan-free
     child whose walk bound W has √W at least floor."""
-    free, scored = scan_solving_every_child(parent, spec, mode, floor)
-    return free, [(v, c) for v, c in scored if math.sqrt(_walk_bound(c)) >= floor]
+    free, scored = scan_solving_every_child(parent, spec, pred, floor)
+    if floor is not None:
+        scored[1] = [(v, c) for v, c in scored[1] if math.sqrt(_walk_bound(c)) >= floor]
+    return free, scored
 
 
 class TestWalkBound:
@@ -654,12 +707,13 @@ class TestWalkBound:
         "spec, n_max", [((1, 3), 7), ((2, 3), 8), ((3, 3), 7), ((2, 4), 7), ((1, 4), 7)]
     )
     def test_reports_match_solving_every_child(self, spec, n_max, monkeypatch):
-        pruned_worker = oracle._scan_extremal_parent
+        pruned_worker = oracle._scan_parent
         for n in range(1, n_max + 1):
             for mode in ("edges", "lambda"):
-                monkeypatch.setattr(oracle, "_scan_extremal_parent", scan_solving_every_child)
+                reference = partial(scan_solving_every_child, spec=FanSpec(*spec))
+                monkeypatch.setattr(oracle, "_scan_parent", reference)
                 ref = brute_force_extremal(n, spec, mode).to_json(timing=False)
-                monkeypatch.setattr(oracle, "_scan_extremal_parent", pruned_worker)
+                monkeypatch.setattr(oracle, "_scan_parent", pruned_worker)
                 for jobs in (1, 2):
                     rep = brute_force_extremal(n, spec, mode, jobs=jobs)
                     assert rep.to_json(timing=False) == ref, (n, mode, jobs)
@@ -685,12 +739,12 @@ class TestWalkBound:
     @pytest.mark.parametrize("spec", [(2, 3), (1, 4)])
     def test_resume_from_any_checkpoint_gives_the_clean_report(self, spec, tmp_path, monkeypatch):
         # The merged state at a cursor depends on the worker: below the
-        # Turán floor the full-solve oracle keeps classes in `best` and
-        # `cands` that the bounded workers never score.  Whichever worker
+        # Turán floor the full-solve oracle keeps classes in the λ score's
+        # `best` and `cands` that the bounded workers never score.  Whichever worker
         # wrote it, a resume from the state after any parent ends in the
         # clean report.  The levels and the per-parent scans are computed
         # once, so each resume costs its merge alone.
-        exact_worker = oracle._scan_extremal_parent
+        exact_worker = oracle._scan_parent
         clean = brute_force_extremal(7, spec, "lambda").to_json(timing=False)
         real_write = oracle._write_json_atomic
         states = {}
@@ -699,8 +753,9 @@ class TestWalkBound:
         )
         monkeypatch.setattr(oracle, "CHECKPOINT_CLASSES", 1)
         ckpt = tmp_path / "ckpt.json"
-        for worker in (scan_solving_every_child, scan_with_float_solves, exact_worker):
-            monkeypatch.setattr(oracle, "_scan_extremal_parent", worker)
+        references = (scan_solving_every_child, scan_with_float_solves)
+        for worker in (*(partial(w, spec=FanSpec(*spec)) for w in references), exact_worker):
+            monkeypatch.setattr(oracle, "_scan_parent", worker)
             brute_force_extremal(7, spec, "lambda", checkpoint_path=str(ckpt))
         monkeypatch.setattr(oracle, "_write_json_atomic", real_write)
         levels = list(fan_free_levels(6, spec))
@@ -716,7 +771,7 @@ class TestWalkBound:
                 scans[parent] = exact_worker(parent, **kwargs)
             return scans[parent]
 
-        monkeypatch.setattr(oracle, "_scan_extremal_parent", scan_once)
+        monkeypatch.setattr(oracle, "_scan_parent", scan_once)
         for text in states:
             ckpt.write_text(text)
             resumed = brute_force_extremal(7, spec, "lambda", checkpoint_path=str(ckpt))
@@ -744,25 +799,35 @@ class TestAllClassWalk:
         with pytest.raises(ValueError):
             graph_count(-1)
 
-    @pytest.mark.parametrize("mode", ["edges", "lambda"])
-    @pytest.mark.parametrize("spec", [(2, 3), (3, 3), (2, 4)])
+    @pytest.mark.parametrize("mode", ["edges", "lambda", "carried"])
+    @pytest.mark.parametrize("spec", [(2, 3), (3, 3), (2, 4), (1, 3)])
     def test_brute_is_the_filtered_all_class_walk(self, spec, mode, all_classes):
+        # "carried" is the edge score that a lambda walk carries beside λ:
+        # the slow oracle's edge maximum, and the edges report's
         for n in range(1, 9):
-            rep = brute_force_extremal(n, spec, mode)
+            if mode == "carried":
+                free, scores = oracle._fan_free_walk(n, FanSpec(*spec), "lambda", 1)
+                best_value, cands = scores["edges"]
+                witnesses = tuple(sorted(oracle._graph6_of(cands)))
+                edges = brute_force_extremal(n, spec, "edges")
+                assert (best_value, witnesses) == (edges.best_value, edges.witnesses), n
+            else:
+                rep = brute_force_extremal(n, spec, mode)
+                free, best_value, witnesses = rep.free_count, rep.best_value, rep.witnesses
+                assert rep.graphs_examined == len(all_classes[n]), n
             # a λ bracket stops (None) once it is below the reported best, so
             # the max of the others is the best exactly when the report is right
             scores = {
-                to_graph6(g): g.edge_count
-                if mode == "edges"
-                else exact_spectral_radius(g, rep.best_value)
+                to_graph6(g): exact_spectral_radius(g, best_value)
+                if mode == "lambda"
+                else g.edge_count
                 for g in all_classes[n]
                 if contains_fan(g, spec) is None
             }
             best = max(v for v in scores.values() if v is not None)
-            assert rep.graphs_examined == len(all_classes[n]), n
-            assert rep.free_count == len(scores), n
-            assert rep.best_value == best, n
-            assert rep.witnesses == tuple(sorted(s for s, v in scores.items() if v == best)), n
+            assert free == len(scores), n
+            assert best_value == best, n
+            assert witnesses == tuple(sorted(s for s, v in scores.items() if v == best)), n
 
 
 def no_child_left() -> bool:
@@ -863,7 +928,7 @@ else:
     bracketed = []
     oracle.exact_spectral_radius = lambda g, cutoff: bracketed.append(g.rows) or real(g, cutoff)
     for parent in parents[1::2]:
-        oracle._scan_extremal_parent(parent, spec, "lambda", floor)
+        oracle._scan_parent(parent, fan_free, floor)
         if bracketed:
             break
     target = bracketed[0]
@@ -1155,6 +1220,24 @@ class TestVerifyMainTheorem:
         assert rep.agrees is False
         assert (rep.family_winner_edges, rep.formula_edges) == (174, 175)
         assert verify_main_theorem(27, (3, 3)).agrees is True
+
+    def test_builds_the_fan_free_levels_once(self, monkeypatch):
+        # one walk carries both scores: `_levels` runs once for the family's
+        # g0 candidates and once for the walk (three times with a walk per
+        # mode)
+        calls = []
+        real = oracle._levels
+
+        def counting(n_max, pred=None):
+            calls.append(n_max)
+            return real(n_max, pred)
+
+        monkeypatch.setattr(oracle, "_levels", counting)
+        for n, spec in ((7, (3, 3)), (6, (1, 3))):
+            calls.clear()
+            rep = verify_main_theorem(n, spec)
+            assert rep.brute_force_agrees is not None
+            assert calls == [2 * spec[0], n - 1], (n, spec)
 
     def test_above_cap_skips_brute(self):
         rep = verify_main_theorem(20, (2, 3))
